@@ -14,9 +14,9 @@
 
 use crate::bview::BoundedViewExtensions;
 use crate::containment::ContainmentPlan;
-use crate::matchjoin::{
-    naive_fixpoint, ranked_fixpoint, JoinError, JoinStats, JoinStrategy, MergedSets,
-};
+use crate::engine::EngineConfig;
+use crate::matchjoin::{refine, JoinError, JoinStats, JoinStrategy, MergedSets};
+use crate::plan::ExecStrategy;
 use gpv_graph::NodeId;
 use gpv_matching::result::BoundedMatchResult;
 use gpv_pattern::{BoundedPattern, PatternEdgeId};
@@ -38,40 +38,24 @@ pub fn bmatch_join_with(
     ext: &BoundedViewExtensions,
     strategy: JoinStrategy,
 ) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
-    bmatch_join_threaded(qb, plan, ext, strategy, 0)
-}
-
-/// Like [`bmatch_join_with`], with an explicit worker count for
-/// [`JoinStrategy::Parallel`] (`0` = auto-detect; ignored by the
-/// sequential strategies).
-pub fn bmatch_join_threaded(
-    qb: &BoundedPattern,
-    plan: &ContainmentPlan,
-    ext: &BoundedViewExtensions,
-    strategy: JoinStrategy,
-    threads: usize,
-) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
     bmatch_join_exec(
         qb,
         plan,
         ext,
-        strategy,
-        threads,
-        crate::plan::ParGranularity::PerEdge,
+        ExecStrategy::Sequential(strategy),
+        &EngineConfig::default(),
     )
 }
 
-/// The full-control entry point behind [`bmatch_join_threaded`]: an
-/// explicit fan-out granularity for [`JoinStrategy::Parallel`] (the engine
-/// threads its plan's [`ParGranularity`](crate::plan::ParGranularity)
-/// through here; ignored by the sequential strategies).
+/// The entry point behind [`bmatch_join_with`]: the bounded merge, then
+/// the fixpoint under `exec` (the engine passes its plan's strategy and
+/// its config, which may pin the parallel kernel's chunk size).
 pub(crate) fn bmatch_join_exec(
     qb: &BoundedPattern,
     plan: &ContainmentPlan,
     ext: &BoundedViewExtensions,
-    strategy: JoinStrategy,
-    threads: usize,
-    granularity: crate::plan::ParGranularity,
+    exec: ExecStrategy,
+    config: &EngineConfig,
 ) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
     let q = qb.pattern();
     if q.edge_count() == 0 {
@@ -132,18 +116,7 @@ pub(crate) fn bmatch_join_exec(
         merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
         ..JoinStats::default()
     };
-    let sets = match strategy {
-        JoinStrategy::RankedBottomUp => ranked_fixpoint(q, merged, &mut stats),
-        JoinStrategy::NaiveFixpoint => naive_fixpoint(q, merged, &mut stats),
-        JoinStrategy::Parallel => {
-            let threads = if threads == 0 {
-                crate::parallel::auto_threads()
-            } else {
-                threads
-            };
-            crate::parallel::par_ranked_fixpoint_with(q, merged, &mut stats, threads, granularity)?
-        }
-    };
+    let sets = refine(q, merged, exec, config, &mut stats)?;
 
     let Some(sets) = sets else {
         return Ok((BoundedMatchResult::empty(), stats));

@@ -394,47 +394,38 @@ impl CostModel {
     /// fanned-out work.
     pub const MIN_CHUNK_PAIRS: usize = 4096;
 
-    /// Granularity decision for a parallel plan, driven by the *per-edge*
-    /// pair counts rather than their total: per-edge fan-out has a speedup
-    /// ceiling of `|Eq|` work units, so when there are more workers than
+    /// Chunk size for the parallel kernel, driven by the *per-edge* pair
+    /// counts of the merge rather than their total: one work unit per edge
+    /// caps the speedup at `|Eq|`, so when there are more workers than
     /// edges and one edge's set is large enough to amortize the chunked
-    /// pipeline's extra pass and stitch, the largest sets are split into
-    /// fixed chunks of the returned size. Returns
-    /// [`ParGranularity::PerEdge`](crate::plan::ParGranularity::PerEdge)
-    /// whenever chunking cannot pay (enough edges to saturate the workers,
-    /// or sets too small to split).
-    pub fn parallel_granularity(
-        &self,
-        per_edge_pairs: &[u64],
-        threads: usize,
-    ) -> crate::plan::ParGranularity {
-        use crate::plan::ParGranularity;
-        let ne = per_edge_pairs.len();
-        let max_pairs = per_edge_pairs.iter().copied().max().unwrap_or(0);
-        if threads < 2 || ne == 0 || ne >= threads {
+    /// build's extra pass and stitch, the largest sets are split into
+    /// chunks of the returned size. Otherwise the returned size is the
+    /// largest set's, so every edge stays a single unit (enough edges to
+    /// saturate the workers, or sets too small to split).
+    pub fn parallel_chunk_pairs(&self, set_sizes: &[usize], threads: usize) -> usize {
+        let ne = set_sizes.len();
+        let max_pairs = set_sizes.iter().copied().max().unwrap_or(0).max(1);
+        if threads < 2 || ne >= threads {
             // Enough per-edge units to keep every worker busy (or no
-            // parallelism at all): the chunked pipeline's second pass and
+            // parallelism at all): the chunked build's second pass and
             // stitch would be pure overhead.
-            return ParGranularity::PerEdge;
+            return max_pairs;
         }
         // Split the largest set into ~`threads` chunks, floored so chunks
         // stay coarse enough to amortize their fixed costs.
-        let chunk_pairs = (max_pairs as usize)
-            .div_ceil(threads)
-            .max(Self::MIN_CHUNK_PAIRS);
-        let chunks = (max_pairs as usize).div_ceil(chunk_pairs.max(1));
-        if chunks < 2 {
-            return ParGranularity::PerEdge; // largest set fits one chunk
+        let chunk_pairs = max_pairs.div_ceil(threads).max(Self::MIN_CHUNK_PAIRS);
+        if max_pairs.div_ceil(chunk_pairs) < 2 {
+            return max_pairs; // largest set fits one chunk
         }
         // Chunking the biggest edge saves up to (1 - ne/threads) of its
-        // build work (the per-edge plan already overlaps `ne` units); it
+        // build work (one unit per edge already overlaps `ne` units); it
         // costs one extra parallel pass plus the sequential prefix stitch.
         let saved = self.read_pair * max_pairs as f64 * (1.0 - ne as f64 / threads as f64);
         let overhead = (1.0 + 2.0 * Self::STITCH_UNIT) * self.thread_spawn * threads as f64;
         if saved > overhead {
-            ParGranularity::Chunked { chunk_pairs }
+            chunk_pairs
         } else {
-            ParGranularity::PerEdge
+            max_pairs
         }
     }
 
@@ -672,41 +663,27 @@ mod tests {
         assert!(cm.parallel_pays(1_000_000, 4), "large jobs parallelize");
     }
 
-    /// The granularity decision is driven by the per-edge distribution, not
-    /// the total: chunking only pays when there are more workers than edges
-    /// *and* a dominant set large enough to amortize the chunked pipeline's
-    /// extra pass and stitch.
+    /// The chunk size is driven by the per-edge distribution, not the
+    /// total: chunking only pays when there are more workers than edges
+    /// *and* a dominant set large enough to amortize the chunked build's
+    /// extra pass and stitch. Otherwise every edge stays one unit.
     #[test]
-    fn granularity_from_per_edge_counts() {
-        use crate::plan::ParGranularity;
+    fn chunk_pairs_from_per_edge_counts() {
         let cm = CostModel::default();
-        // Enough edges to saturate the workers: per-edge, regardless of size.
-        assert_eq!(
-            cm.parallel_granularity(&[1_000_000; 8], 4),
-            ParGranularity::PerEdge
-        );
+        // Enough edges to saturate the workers: one unit per edge.
+        assert_eq!(cm.parallel_chunk_pairs(&[1_000_000; 8], 4), 1_000_000);
         // The |Eq| ceiling case: 2 edges, 8 workers, one 10M-pair set.
-        match cm.parallel_granularity(&[10_000_000, 50], 8) {
-            ParGranularity::Chunked { chunk_pairs } => {
-                assert!(chunk_pairs >= CostModel::MIN_CHUNK_PAIRS);
-                assert!(
-                    chunk_pairs <= 10_000_000 / 2,
-                    "the dominant set splits into several chunks: {chunk_pairs}"
-                );
-            }
-            g => panic!("expected chunked granularity, got {g:?}"),
-        }
+        let chunk_pairs = cm.parallel_chunk_pairs(&[10_000_000, 50], 8);
+        assert!(chunk_pairs >= CostModel::MIN_CHUNK_PAIRS);
+        assert!(
+            chunk_pairs <= 10_000_000 / 2,
+            "the dominant set splits into several chunks: {chunk_pairs}"
+        );
         // Small sets: the stitch overhead drowns the savings.
-        assert_eq!(
-            cm.parallel_granularity(&[100, 50], 8),
-            ParGranularity::PerEdge
-        );
-        // One thread (or none) never chunks.
-        assert_eq!(
-            cm.parallel_granularity(&[10_000_000], 1),
-            ParGranularity::PerEdge
-        );
-        assert_eq!(cm.parallel_granularity(&[], 8), ParGranularity::PerEdge);
+        assert_eq!(cm.parallel_chunk_pairs(&[100, 50], 8), 100);
+        // One thread never chunks; an empty merge yields a unit-size chunk.
+        assert_eq!(cm.parallel_chunk_pairs(&[10_000_000], 1), 10_000_000);
+        assert_eq!(cm.parallel_chunk_pairs(&[], 8), 1);
     }
 
     /// Regression for the `unwrap_or(0)` bug: a partial λ (some entry

@@ -77,7 +77,7 @@ pub struct DifferentialCase<'a> {
     pub deltas: &'a [EdgeDelta],
     /// Store shard count.
     pub shards: usize,
-    /// Engine configuration under test (executor, granularity, selection
+    /// Engine configuration under test (executor, chunk size, selection
     /// mode, cost weights, threads).
     pub engine: EngineConfig,
     /// Service configuration under test (plan/result caches, recalibration

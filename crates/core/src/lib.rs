@@ -67,7 +67,7 @@ pub mod verify;
 pub mod view;
 
 pub use bcontainment::{bcontain, bminimal, bminimum, bounded_query_contained, bounded_view_match};
-pub use bmatchjoin::{bmatch_join, bmatch_join_threaded, bmatch_join_with};
+pub use bmatchjoin::{bmatch_join, bmatch_join_with};
 pub use bview::{bmaterialize, BoundedViewDef, BoundedViewExtensions, BoundedViewSet};
 pub use compact::{CompactBoundedExtensions, CompactBoundedView, CompactExtensions, CompactView};
 pub use containment::{contain, query_contained, view_match, ContainmentPlan, ViewEdgeRef};
@@ -85,14 +85,13 @@ pub use matchjoin::{match_join, match_join_with, JoinError, JoinStats, JoinStrat
 pub use minimal::{minimal, Selection};
 pub use minimize::{minimize, Minimized};
 pub use minimum::{alpha, minimum};
-pub use parallel::{par_match_join, par_match_join_granular};
+pub use parallel::par_match_join;
 pub use partial::{
     answer_with_partial_views, hybrid_match_join, partial_contain, sources_from_partial,
     PartialPlan,
 };
 pub use plan::{
-    CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, ParGranularity, QueryPlan,
-    SelectionMode, ViewPlan,
+    CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
 };
 pub use selection::{select_views_for_workload, WorkloadSelection};
 pub use service::{

@@ -15,16 +15,21 @@
 //! * [`JoinStrategy::RankedBottomUp`] — the Section III optimization: a
 //!   support-counter worklist drained in ascending SCC-rank order, so match
 //!   sets of edges below any non-singleton SCC are visited at most once
-//!   (Lemma 2). This is the default.
+//!   (Lemma 2). This is the default, and `ranked_fixpoint` is its only
+//!   executor: [`ExecStrategy::Parallel`] runs the same kernel with its
+//!   per-edge stages fanned across workers ([`crate::parallel`]).
 //!
 //! Complexity: `O(|Qs||V(G)| + |V(G)|²)` — versus
 //! `O(|Qs|² + |Qs||G| + |G|²)` for evaluating `Qs` on `G` directly.
 
 use crate::containment::ContainmentPlan;
+use crate::engine::EngineConfig;
+use crate::parallel::{self, auto_threads, par_map};
+use crate::plan::ExecStrategy;
 use crate::view::ViewExtensions;
 use gpv_graph::NodeId;
 use gpv_matching::result::MatchResult;
-use gpv_pattern::{Pattern, PatternNodeId};
+use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -44,13 +49,6 @@ pub enum JoinStrategy {
     /// The unoptimized Fig. 2 fixpoint (`MatchJoin_nopt`): repeatedly rescan
     /// all match sets until nothing changes.
     NaiveFixpoint,
-    /// [`RankedBottomUp`](JoinStrategy::RankedBottomUp) with the per-edge
-    /// build and support-initialization phases fanned across worker threads
-    /// (thread count = available parallelism; see [`crate::parallel`]).
-    /// Deterministic: per-edge results merge in edge order and the final
-    /// fixpoint is confluent. With one thread it runs inline and matches
-    /// the sequential strategy exactly.
-    Parallel,
 }
 
 /// Instrumentation for the Lemma 2 / Fig. 8(f) experiments.
@@ -138,7 +136,12 @@ pub fn match_join_with(
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step(q, plan, ext)?;
-    run_fixpoint(q, merged, strategy)
+    run_fixpoint(
+        q,
+        merged,
+        ExecStrategy::Sequential(strategy),
+        &EngineConfig::default(),
+    )
 }
 
 /// Like [`match_join_with`] but initializing with the *literal* Fig. 2 merge
@@ -152,57 +155,66 @@ pub fn match_join_union_with(
     ext: &ViewExtensions,
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
-    // Under the parallel strategy the per-edge sort/dedup of the union
-    // itself fans across workers (chunk-sort + k-way merge — identical
-    // output, see `parallel::par_sort_dedup`).
-    let merged = if strategy == JoinStrategy::Parallel {
-        crate::parallel::par_merge_step_union(
-            q,
-            plan,
-            ext,
-            crate::parallel::auto_threads(),
-            crate::cost::CostModel::MIN_CHUNK_PAIRS,
-        )?
-    } else {
-        merge_step_union(q, plan, ext)?
-    };
-    run_fixpoint(q, merged, strategy)
+    let merged = merge_step_union(q, plan, ext)?;
+    run_fixpoint(
+        q,
+        merged,
+        ExecStrategy::Sequential(strategy),
+        &EngineConfig::default(),
+    )
 }
 
-/// Runs the default (ranked) fixpoint over caller-supplied merged sets.
-/// Used by the hybrid evaluator in [`crate::partial`], whose merge mixes
-/// view extensions and surgical `G` scans.
-pub(crate) fn run_fixpoint_public(
-    q: &Pattern,
-    merged: MergedSets<'_>,
-) -> Result<(MatchResult, JoinStats), JoinError> {
-    run_fixpoint(q, merged, JoinStrategy::RankedBottomUp)
-}
-
-/// Runs the fixpoint phase over caller-supplied merged sets with an
-/// explicit strategy — the execution backend behind both the λ-based entry
-/// points and the [`EdgeSource`](crate::plan::EdgeSource)-honoring engine
-/// path (whose merge is built by `partial::merged_from_sources`).
+/// Runs the fixpoint phase over caller-supplied merged sets under `exec` —
+/// the execution backend behind the λ-based entry points, the
+/// [`EdgeSource`](crate::plan::EdgeSource)-honoring engine path (whose
+/// merge is built by `partial::merged_from_sources`) and the hybrid
+/// evaluator. `config` supplies the parallel kernel's chunk size: pinned
+/// by [`EngineConfig::chunk_pairs`], or derived from the merged set sizes
+/// ([`CostModel::parallel_chunk_pairs`](crate::cost::CostModel::parallel_chunk_pairs)).
 pub(crate) fn run_fixpoint(
     q: &Pattern,
     merged: MergedSets<'_>,
-    strategy: JoinStrategy,
+    exec: ExecStrategy,
+    config: &EngineConfig,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let mut stats = JoinStats {
         merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
         ..JoinStats::default()
     };
-    let sets = match strategy {
-        JoinStrategy::RankedBottomUp => ranked_fixpoint(q, merged, &mut stats),
-        JoinStrategy::NaiveFixpoint => naive_fixpoint(q, merged, &mut stats),
-        JoinStrategy::Parallel => crate::parallel::par_ranked_fixpoint(
-            q,
-            merged,
-            &mut stats,
-            crate::parallel::auto_threads(),
-        )?,
-    };
+    let sets = refine(q, merged, exec, config, &mut stats)?;
     Ok((assemble(q, sets), stats))
+}
+
+/// Refines merged sets under `exec` (see [`run_fixpoint`]), returning the
+/// per-edge sets before assembly — the bounded join re-attaches distances
+/// to them.
+pub(crate) fn refine(
+    q: &Pattern,
+    merged: MergedSets<'_>,
+    exec: ExecStrategy,
+    config: &EngineConfig,
+    stats: &mut JoinStats,
+) -> FixpointOutcome {
+    match exec {
+        ExecStrategy::Sequential(JoinStrategy::RankedBottomUp) => {
+            ranked_fixpoint(q, merged, stats, 1, 0)
+        }
+        ExecStrategy::Sequential(JoinStrategy::NaiveFixpoint) => {
+            Ok(naive_fixpoint(q, merged, stats))
+        }
+        ExecStrategy::Parallel { threads } => {
+            let threads = if threads == 0 {
+                auto_threads()
+            } else {
+                threads
+            };
+            let chunk = config.chunk_pairs.unwrap_or_else(|| {
+                let sizes: Vec<usize> = merged.iter().map(|s| s.len()).collect();
+                config.cost.parallel_chunk_pairs(&sizes, threads)
+            });
+            ranked_fixpoint(q, merged, stats, threads, chunk)
+        }
+    }
 }
 
 /// Canonicalizes one edge's borrowed match set: sorted, duplicate-free.
@@ -327,8 +339,9 @@ pub(crate) fn initial_candidates<S: std::ops::Deref<Target = [(NodeId, NodeId)]>
 
 /// Per-edge compacted representation of a merged match set: dense-id pair
 /// list, endpoint presence bitsets, and forward/reverse CSR adjacency. Pure
-/// per-edge data, so both the sequential and the parallel executor build it
-/// — the latter one edge per worker (see [`crate::parallel`]).
+/// per-edge data: an edge that is one work unit is built by
+/// [`build_edge_csr`], a split edge by the chunked build in
+/// [`crate::parallel`].
 #[derive(Debug)]
 pub(crate) struct EdgeCsr {
     /// Compacted `(src, tgt)` pairs, in merge order.
@@ -476,11 +489,12 @@ pub(crate) fn edge_support(
     (support, seeds)
 }
 
-/// The sequential bottom-up drain (Lemma 2) plus the final per-edge filter:
-/// removes zero-support candidates in ascending SCC rank, cascading through
-/// in-edges, then maps surviving compact pairs back to [`NodeId`]s. Shared
-/// verbatim by the sequential and parallel executors — only the stages
-/// *before* the drain are parallelized, so both produce identical results.
+/// The bottom-up drain (Lemma 2) plus the final per-edge filter: removes
+/// zero-support candidates in ascending SCC rank, cascading through
+/// in-edges, then maps surviving compact pairs back to [`NodeId`]s. The
+/// drain always runs on the calling thread; only the filter, a pure
+/// per-edge map, fans across `threads` workers.
+#[allow(clippy::too_many_arguments)] // the kernel's stage outputs + threads
 pub(crate) fn drain_and_extract(
     q: &Pattern,
     csrs: &[EdgeCsr],
@@ -489,18 +503,18 @@ pub(crate) fn drain_and_extract(
     seeds: &[(PatternNodeId, Vec<u32>)],
     rev_index: &[NodeId],
     stats: &mut JoinStats,
-) -> Option<Vec<Vec<(NodeId, NodeId)>>> {
+    threads: usize,
+) -> FixpointOutcome {
     use gpv_graph::BitSet;
     let np = q.node_count();
-    let ne = q.edge_count();
     let m = rev_index.len();
     let cond = q.condensation();
     let max_rank = (0..np as u32).map(|u| cond.rank(u)).max().unwrap_or(0) as usize;
 
     let mut buckets: Vec<VecDeque<(PatternNodeId, u32)>> = vec![VecDeque::new(); max_rank + 1];
     let mut scheduled: Vec<BitSet> = vec![BitSet::new(m); np];
-    // Seed in edge order: deterministic regardless of how the per-edge seed
-    // lists were computed.
+    // Seed in the given order: deterministic regardless of how the
+    // per-edge seed lists were computed.
     for (u, vs) in seeds {
         for &v in vs {
             if scheduled[u.index()].insert(v as usize) {
@@ -521,7 +535,7 @@ pub(crate) fn drain_and_extract(
         }
         stats.removals += 1;
         if cand[u.index()].is_empty() {
-            return None;
+            return Ok(None);
         }
         for &(u0, e0) in q.in_edges(u) {
             stats.edge_visits += 1;
@@ -543,17 +557,23 @@ pub(crate) fn drain_and_extract(
     }
 
     // Final sets: pairs whose endpoints survived, mapped back to NodeIds.
-    let mut out = Vec::with_capacity(ne);
-    for (ei, csr) in csrs.iter().enumerate() {
+    // Visits count up to the first emptied edge whatever the worker count.
+    let out = par_map(csrs.len(), threads, |ei| {
+        let (u, t) = q.edge(PatternEdgeId(ei as u32));
+        filter_surviving(
+            &csrs[ei].pairs,
+            &cand[u.index()],
+            &cand[t.index()],
+            rev_index,
+        )
+    })?;
+    for set in &out {
         stats.edge_visits += 1;
-        let (u, t) = q.edge(gpv_pattern::PatternEdgeId(ei as u32));
-        let filtered = filter_surviving(&csr.pairs, &cand[u.index()], &cand[t.index()], rev_index);
-        if filtered.is_empty() {
-            return None;
+        if set.is_empty() {
+            return Ok(None);
         }
-        out.push(filtered);
     }
-    Some(out)
+    Ok(Some(out))
 }
 
 /// One edge's surviving pairs mapped back to [`NodeId`]s (pure per-edge).
@@ -570,40 +590,58 @@ pub(crate) fn filter_surviving(
         .collect()
 }
 
-/// The optimized fixpoint: support counters + rank-bucketed worklist over a
-/// *compacted* node domain — only nodes occurring in the merged sets get
-/// dense ids, so all hot-path structures are flat vectors and bitsets sized
-/// by `|V(G)|`, not `|G|`. Returns the refined per-edge sets; any empty set
-/// means `Qs(G) = ∅`.
+/// Refined per-edge match sets (`None` = empty result), or a caught worker
+/// panic.
+pub(crate) type FixpointOutcome = Result<Option<Vec<Vec<(NodeId, NodeId)>>>, JoinError>;
+
+/// The optimized fixpoint, and the only ranked `MatchJoin` executor:
+/// support counters + rank-bucketed worklist over a *compacted* node
+/// domain — only nodes occurring in the merged sets get dense ids, so all
+/// hot-path structures are flat vectors and bitsets sized by `|V(G)|`, not
+/// `|G|`. Stages: compact → CSR build → candidates → support →
+/// [`drain_and_extract`].
+///
+/// With `threads == 1` every stage runs inline, one edge at a time. With
+/// more workers the per-edge stages (CSR build, support, final filter) fan
+/// out as *(edge, chunk)* units of at most `chunk` pairs (`0` counts as 1),
+/// fixed by index ([`crate::parallel`]); an edge that is a single unit runs
+/// [`build_edge_csr`] and [`edge_support`] exactly as the inline path does.
+/// Compaction, candidates and the drain stay on the calling thread, so the
+/// answer and the [`JoinStats`] are identical for every `threads` ×
+/// `chunk`. `Err` only on a caught worker panic.
 pub(crate) fn ranked_fixpoint(
     q: &Pattern,
     merged: MergedSets<'_>,
     stats: &mut JoinStats,
-) -> Option<Vec<Vec<(NodeId, NodeId)>>> {
+    threads: usize,
+    chunk: usize,
+) -> FixpointOutcome {
     let ne = q.edge_count();
     let (index, rev_index) = compact_index(&merged);
     let m = index.len();
+    let units = parallel::chunk_units(&merged, chunk, threads);
 
-    let mut csrs = Vec::with_capacity(ne);
-    for set in &merged {
-        stats.edge_visits += 1;
-        csrs.push(build_edge_csr(set, &index, m));
-    }
+    stats.edge_visits += ne as u64;
+    let csrs = parallel::build_csrs(&merged, &units, &index, m, threads)?;
 
-    let cand = build_candidates(q, &csrs, m)?;
+    let Some(cand) = build_candidates(q, &csrs, m) else {
+        return Ok(None);
+    };
 
-    let mut support: Vec<Vec<u32>> = vec![Vec::new(); ne];
-    let mut seeds: Vec<(PatternNodeId, Vec<u32>)> = Vec::new();
+    stats.edge_visits += ne as u64;
+    let (support, mut zero): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
+        parallel::supports(q, &csrs, &cand, m, &units, threads, chunk)?
+            .into_iter()
+            .unzip();
+    // Seed by source node, then out-edge: the drain's pop order.
+    let mut seeds: Vec<(PatternNodeId, Vec<u32>)> = Vec::with_capacity(ne);
     for u in q.nodes() {
-        for &(t, e) in q.out_edges(u) {
-            stats.edge_visits += 1;
-            let (sup, zero) = edge_support(&csrs[e.index()], &cand[u.index()], &cand[t.index()], m);
-            support[e.index()] = sup;
-            seeds.push((u, zero));
+        for &(_, e) in q.out_edges(u) {
+            seeds.push((u, std::mem::take(&mut zero[e.index()])));
         }
     }
 
-    drain_and_extract(q, &csrs, cand, support, &seeds, &rev_index, stats)
+    drain_and_extract(q, &csrs, cand, support, &seeds, &rev_index, stats, threads)
 }
 
 /// The literal Fig. 2 fixpoint: rescan every match set until stable.

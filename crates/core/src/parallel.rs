@@ -1,52 +1,50 @@
-//! Thread-parallel `MatchJoin` execution.
+//! The fan-out half of the ranked `MatchJoin` kernel
+//! (`matchjoin::ranked_fixpoint`).
 //!
-//! The expensive phases of the ranked fixpoint ([`crate::matchjoin`]) are
-//! per-pattern-edge and independent: compacting each merged match set into
-//! CSR form, and computing initial support counters. This module fans those
-//! phases across OS threads (`std::thread::scope` — the build environment
-//! vendors no `rayon`). The drain itself runs in *rank waves*: each wave
-//! removes the whole lowest-rank bucket up front, gathers the support hits
-//! of every removed candidate in parallel (a read-only scan of the reverse
-//! CSRs), then applies the decrements sequentially in fixed wave order —
-//! so heavy pruning no longer serializes on the last stage, and the result
-//! stays bit-for-bit identical to the sequential drain (the worklist
-//! closure is confluent; see `par_drain_and_extract`).
+//! Three kernel stages are pure per-edge work: building each merged set's
+//! CSR, computing initial support counters, and the final filter. With
+//! more than one worker they run as *(edge, chunk)* work units across OS
+//! threads (`std::thread::scope` — the build environment vendors no
+//! `rayon`). `chunk_units` splits each edge's pair set into chunks of at
+//! most `chunk` pairs:
 //!
-//! Two fan-out granularities ([`ParGranularity`]):
+//! * an edge that is **one unit** is built by
+//!   `matchjoin::build_edge_csr` and supported by
+//!   `matchjoin::edge_support`, exactly as the inline path does, so it
+//!   pays for no count/stitch/atomic passes. When every edge is one unit
+//!   this is plain per-edge fan-out, with a speedup ceiling of `|Eq|`;
+//! * a **split** edge runs a two-pass chunked CSR build (per-chunk counts →
+//!   sequential prefix stitch → parallel scatter) and ranged support over
+//!   slices of the dense node domain with a deterministic counter merge.
 //!
-//! * **per-edge** — one work unit per pattern edge. Speedup ceiling is
-//!   `|Eq|`: a 2-edge query over a 10M-pair merge uses at most 2 cores;
-//! * **chunked** — each edge's pair set is split into fixed, index-aligned
-//!   chunks and *(edge, chunk)* units fan across the workers: a two-pass
-//!   chunked CSR build (per-chunk counts → sequential prefix stitch →
-//!   parallel scatter), ranged `edge_support` over slices of the dense
-//!   node domain with a deterministic counter merge, and a chunk-sort +
-//!   k-way-merge for the union merge's per-edge sort/dedup.
+//! The chunk size is derived at execution from the merged set sizes
+//! ([`CostModel::parallel_chunk_pairs`](crate::cost::CostModel::parallel_chunk_pairs))
+//! unless [`EngineConfig::chunk_pairs`](crate::engine::EngineConfig::chunk_pairs)
+//! pins it. Compaction, candidates and the drain stay sequential.
 //!
 //! Determinism: work-unit boundaries are fixed by index — never by timing —
 //! workers write results into slots owned by their unit, and every merge of
 //! per-unit results runs in unit order, so the output is bit-for-bit
-//! identical to [`JoinStrategy::RankedBottomUp`](crate::matchjoin::JoinStrategy)
-//! regardless of thread interleaving, thread count, or chunk size (the
-//! seeded proptests in `tests/engine.rs` sweep all three). With
-//! `threads == 1` every stage runs inline with no spawn overhead.
+//! identical to the inline kernel regardless of thread interleaving, thread
+//! count, or chunk size (the seeded proptests in `tests/engine.rs` sweep
+//! all three).
 
 use crate::containment::ContainmentPlan;
-use crate::matchjoin::{self, merge_step, EdgeCsr, JoinError, JoinStats, MergedSets};
-use crate::plan::ParGranularity;
+use crate::engine::EngineConfig;
+use crate::matchjoin::{self, merge_step, EdgeCsr, JoinError, JoinStats};
+use crate::plan::ExecStrategy;
 use crate::view::ViewExtensions;
 use gpv_graph::{BitSet, NodeId};
 use gpv_matching::result::MatchResult;
-use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
-use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use gpv_pattern::{Pattern, PatternEdgeId};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Default worker count: the machine's available parallelism, probed once
 /// and cached. `available_parallelism` is a syscall, and this sits on the
-/// per-execution hot path (`QueryEngine::exec_for`, `run_fixpoint`), so
+/// per-execution hot path (`QueryEngine::exec_for`, `matchjoin::refine`), so
 /// paying it per query would tax every single plan/join for a value that
 /// never changes over the process lifetime.
 pub fn auto_threads() -> usize {
@@ -140,8 +138,8 @@ where
     Ok(slots.into_iter().map(|s| s.expect("slot filled")).collect())
 }
 
-/// Answers `Qs` from views with the parallel executor and an explicit
-/// thread count (`0` = auto). Output is identical to
+/// Answers `Qs` from views with the ranked kernel fanned across `threads`
+/// workers (`0` = auto) and a derived chunk size. Output is identical to
 /// [`matchjoin::match_join`]; only wall-clock differs.
 pub fn par_match_join(
     q: &Pattern,
@@ -150,270 +148,16 @@ pub fn par_match_join(
     threads: usize,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step(q, plan, ext)?;
-    par_fixpoint(q, merged, threads, ParGranularity::PerEdge)
+    matchjoin::run_fixpoint(
+        q,
+        merged,
+        ExecStrategy::Parallel { threads },
+        &EngineConfig::default(),
+    )
 }
 
-/// Like [`par_match_join`] with an explicit fan-out granularity —
-/// [`ParGranularity::Chunked`] breaks the per-edge `|Eq|` speedup ceiling
-/// by splitting each edge's pair set across workers. Output is identical
-/// across all granularities, thread counts, and chunk sizes.
-pub fn par_match_join_granular(
-    q: &Pattern,
-    plan: &ContainmentPlan,
-    ext: &ViewExtensions,
-    threads: usize,
-    granularity: ParGranularity,
-) -> Result<(MatchResult, JoinStats), JoinError> {
-    let merged = merge_step(q, plan, ext)?;
-    par_fixpoint(q, merged, threads, granularity)
-}
-
-/// The parallel executor over caller-supplied merged sets (e.g. built by
-/// the [`EdgeSource`](crate::plan::EdgeSource)-honoring merge): fans the
-/// build/support phases across `threads` workers (`0` = auto) at the given
-/// granularity, then runs the sequential drain.
-pub(crate) fn par_fixpoint(
-    q: &Pattern,
-    merged: MergedSets<'_>,
-    threads: usize,
-    granularity: ParGranularity,
-) -> Result<(MatchResult, JoinStats), JoinError> {
-    let threads = if threads == 0 {
-        auto_threads()
-    } else {
-        threads
-    };
-    let mut stats = JoinStats {
-        merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
-        ..JoinStats::default()
-    };
-    let sets = par_ranked_fixpoint_with(q, merged, &mut stats, threads, granularity)?;
-    Ok((matchjoin::assemble(q, sets), stats))
-}
-
-/// Refined per-edge match sets (`None` = empty result), or a caught worker
-/// panic.
-pub(crate) type FixpointOutcome = Result<Option<Vec<Vec<(NodeId, NodeId)>>>, JoinError>;
-
-/// The ranked fixpoint with parallel build/support phases, fanning one
-/// work unit per pattern edge. Kept as the [`ParGranularity::PerEdge`]
-/// backend of [`par_ranked_fixpoint_with`].
-pub(crate) fn par_ranked_fixpoint(
-    q: &Pattern,
-    merged: MergedSets<'_>,
-    stats: &mut JoinStats,
-    threads: usize,
-) -> FixpointOutcome {
-    par_ranked_fixpoint_with(q, merged, stats, threads, ParGranularity::PerEdge)
-}
-
-/// The ranked fixpoint with parallel build/support phases. Semantically
-/// identical to [`matchjoin::ranked_fixpoint`]; per-unit stage results
-/// merge in fixed unit order. `Err` only on a caught worker panic
-/// ([`JoinError::WorkerPanicked`] with the failing edge index).
-pub(crate) fn par_ranked_fixpoint_with(
-    q: &Pattern,
-    merged: MergedSets<'_>,
-    stats: &mut JoinStats,
-    threads: usize,
-    granularity: ParGranularity,
-) -> FixpointOutcome {
-    if threads <= 1 {
-        // No spare workers: take the sequential path exactly (identical
-        // output either way; this avoids the staging allocations).
-        return Ok(matchjoin::ranked_fixpoint(q, merged, stats));
-    }
-    let ne = q.edge_count();
-    // Compaction must assign dense ids in first-occurrence order to stay
-    // deterministic, so it stays sequential (O(total pairs), hash-bound).
-    let (index, rev_index) = matchjoin::compact_index(&merged);
-    let m = index.len();
-
-    // Stage 1 (parallel): CSR build — one unit per edge, or per
-    // (edge, chunk) under chunked granularity.
-    let csrs: Vec<EdgeCsr> = match granularity {
-        ParGranularity::PerEdge => par_map(ne, threads, |ei| {
-            matchjoin::build_edge_csr(&merged[ei], &index, m)
-        })
-        .map_err(JoinError::from)?,
-        ParGranularity::Chunked { chunk_pairs } => {
-            chunked_csrs(&merged, &index, m, threads, chunk_pairs)?
-        }
-    };
-    stats.edge_visits += ne as u64;
-
-    // Stage 2 (sequential, cheap): candidate sets over pattern nodes.
-    let Some(cand) = matchjoin::build_candidates(q, &csrs, m) else {
-        return Ok(None);
-    };
-
-    // Stage 3 (parallel): per-edge support counters + zero-support seeds —
-    // per edge, or over ranges of the dense node domain under chunked
-    // granularity (deterministic merge: concatenation in range order).
-    let edge_src: Vec<(PatternNodeId, PatternNodeId)> =
-        (0..ne).map(|ei| q.edge(PatternEdgeId(ei as u32))).collect();
-    let per_edge: Vec<(Vec<u32>, Vec<u32>)> = match granularity {
-        ParGranularity::PerEdge => par_map(ne, threads, |ei| {
-            let (u, t) = edge_src[ei];
-            matchjoin::edge_support(&csrs[ei], &cand[u.index()], &cand[t.index()], m)
-        })
-        .map_err(JoinError::from)?,
-        ParGranularity::Chunked { chunk_pairs } => {
-            ranged_support(&csrs, &cand, &edge_src, m, threads, chunk_pairs)?
-        }
-    };
-    stats.edge_visits += ne as u64;
-    let mut support: Vec<Vec<u32>> = Vec::with_capacity(ne);
-    let mut seeds: Vec<(PatternNodeId, Vec<u32>)> = Vec::with_capacity(ne);
-    for (ei, (sup, zero)) in per_edge.into_iter().enumerate() {
-        support.push(sup);
-        seeds.push((edge_src[ei].0, zero));
-    }
-
-    // Stage 4: the drain in parallel rank waves + the fanned final filter.
-    par_drain_and_extract(q, &csrs, cand, support, &seeds, &rev_index, stats, threads)
-}
-
-/// Minimum wave width before the gather phase fans across workers: below
-/// this, spawning scoped threads costs more than the read-only CSR scans
-/// they would do. The threshold affects scheduling only — apply order is
-/// fixed either way, so the output is identical.
-const PAR_WAVE_MIN: usize = 256;
-
-/// Stage 4 of the chunked fixpoint, parallelized in *rank waves* — the last
-/// stage that used to run fully sequentially, a ceiling when the union
-/// merge leaves heavy pruning.
-///
-/// Each iteration drains the entire lowest non-empty rank bucket as one
-/// wave:
-///
-/// 1. **remove** (sequential, pop order): every wave candidate leaves its
-///    `cand` set; an emptied set short-circuits to the empty result exactly
-///    like the sequential drain;
-/// 2. **gather** (parallel when the wave is ≥ [`PAR_WAVE_MIN`]): for each
-///    removed `(u, v)`, scan the reverse CSR of every in-edge of `u` and
-///    collect the surviving witnesses `w ∈ cand[u0]` whose support the
-///    removal decrements. `cand` and `scheduled` are not written during the
-///    gather, so the scans are read-only and embarrassingly parallel;
-/// 3. **apply** (sequential, fixed wave order): re-check the
-///    `cand`/`scheduled` guards, decrement support counters, schedule
-///    candidates that hit zero.
-///
-/// Equivalence with [`matchjoin::drain_and_extract`]: the drain computes
-/// the closure of "support exhausted" removals, which is confluent — a
-/// decrement for `(e0, w)` happens at most once per removed witness, the
-/// guards make removals idempotent, and counters of removed candidates are
-/// never consulted again — so the surviving `cand` sets (and therefore the
-/// answer) are independent of removal order. Wave-mates removed up front
-/// fail the `cand.contains` guard exactly where the sequential drain's
-/// `scheduled` guard would have skipped them. Determinism across thread
-/// counts and chunk sizes holds because wave boundaries are functions of
-/// bucket contents only and the apply phase runs in fixed wave order
-/// (`tests/engine.rs` sweeps both).
-#[allow(clippy::too_many_arguments)] // mirrors drain_and_extract + threads
-pub(crate) fn par_drain_and_extract(
-    q: &Pattern,
-    csrs: &[EdgeCsr],
-    mut cand: Vec<BitSet>,
-    mut support: Vec<Vec<u32>>,
-    seeds: &[(PatternNodeId, Vec<u32>)],
-    rev_index: &[NodeId],
-    stats: &mut JoinStats,
-    threads: usize,
-) -> FixpointOutcome {
-    let np = q.node_count();
-    let ne = q.edge_count();
-    let m = rev_index.len();
-    let cond = q.condensation();
-    let max_rank = (0..np as u32).map(|u| cond.rank(u)).max().unwrap_or(0) as usize;
-
-    let mut buckets: Vec<VecDeque<(PatternNodeId, u32)>> = vec![VecDeque::new(); max_rank + 1];
-    let mut scheduled: Vec<BitSet> = vec![BitSet::new(m); np];
-    for (u, vs) in seeds {
-        for &v in vs {
-            if scheduled[u.index()].insert(v as usize) {
-                buckets[cond.rank(u.0) as usize].push_back((*u, v));
-            }
-        }
-    }
-
-    // One gathered unit per removed candidate: (edge visits, support hits).
-    type Gathered = (u64, Vec<(PatternNodeId, usize, u32)>);
-
-    while let Some(rank) = (0..buckets.len()).find(|&r| !buckets[r].is_empty()) {
-        let wave: Vec<(PatternNodeId, u32)> = buckets[rank].drain(..).collect();
-
-        // Phase 1: removals, in pop order.
-        let mut removed: Vec<(PatternNodeId, u32)> = Vec::with_capacity(wave.len());
-        for &(u, v) in &wave {
-            if !cand[u.index()].remove(v as usize) {
-                continue;
-            }
-            stats.removals += 1;
-            if cand[u.index()].is_empty() {
-                return Ok(None);
-            }
-            removed.push((u, v));
-        }
-
-        // Phase 2: read-only gather of support hits per removed candidate.
-        let gather = |i: usize| -> Gathered {
-            let (u, v) = removed[i];
-            let mut visits = 0u64;
-            let mut hits = Vec::new();
-            for &(u0, e0) in q.in_edges(u) {
-                visits += 1;
-                let (ro, rs) = &csrs[e0.index()].rev;
-                let (a, b) = (ro[v as usize] as usize, ro[v as usize + 1] as usize);
-                for &w in &rs[a..b] {
-                    if cand[u0.index()].contains(w as usize) {
-                        hits.push((u0, e0.index(), w));
-                    }
-                }
-            }
-            (visits, hits)
-        };
-        let gathered: Vec<Gathered> = if threads > 1 && removed.len() >= PAR_WAVE_MIN {
-            par_map(removed.len(), threads, gather).map_err(JoinError::from)?
-        } else {
-            (0..removed.len()).map(gather).collect()
-        };
-
-        // Phase 3: apply decrements in fixed wave order.
-        for (visits, hits) in gathered {
-            stats.edge_visits += visits;
-            for (u0, e0, w) in hits {
-                if cand[u0.index()].contains(w as usize)
-                    && !scheduled[u0.index()].contains(w as usize)
-                {
-                    let s = &mut support[e0][w as usize];
-                    *s = s.saturating_sub(1);
-                    if *s == 0 {
-                        scheduled[u0.index()].insert(w as usize);
-                        buckets[cond.rank(u0.0) as usize].push_back((u0, w));
-                    }
-                }
-            }
-        }
-    }
-
-    // Final per-edge filter, fanned across workers (pure per-edge).
-    let filtered: Vec<Vec<(NodeId, NodeId)>> = par_map(ne, threads, |ei| {
-        let (u, t) = q.edge(PatternEdgeId(ei as u32));
-        matchjoin::filter_surviving(
-            &csrs[ei].pairs,
-            &cand[u.index()],
-            &cand[t.index()],
-            rev_index,
-        )
-    })
-    .map_err(JoinError::from)?;
-    stats.edge_visits += ne as u64;
-    if filtered.iter().any(Vec::is_empty) {
-        return Ok(None);
-    }
-    Ok(Some(filtered))
-}
+/// One *(edge, start, end)* work unit: a slice of an edge's merged set.
+pub(crate) type Unit = (usize, usize, usize);
 
 /// How many work units per edge the chunked build will produce at most,
 /// as a multiple of the worker count. Bounds the stitch's memory and time
@@ -422,25 +166,26 @@ pub(crate) fn par_drain_and_extract(
 /// stay proportional to the machine.
 const MAX_UNITS_PER_EDGE_FACTOR: usize = 8;
 
-/// The fixed *(edge, chunk)* work-unit list for a merged set. Chunk
-/// boundaries are pure functions of each set's length, `chunk_pairs`, and
-/// `threads` — never of timing. The requested chunk size is floored so no
+/// The fixed *(edge, chunk)* work-unit list for a merged set, edge-major.
+/// With one worker every edge is a single unit. Chunk boundaries are pure
+/// functions of each set's length, `chunk_pairs`, and `threads` — never of
+/// timing. The requested chunk size is floored so no
 /// edge produces more than `threads × MAX_UNITS_PER_EDGE_FACTOR` units: a
-/// pinned `--chunk-pairs 1` over a huge set must not allocate
+/// pinned chunk of 1 pair over a huge set must not allocate
 /// O(pairs × m) of per-chunk counters (each unit carries dense O(m)
 /// state), and unit counts beyond a small multiple of the worker count
 /// add stitch work without adding parallelism. An empty set still gets
 /// one (empty) unit so every edge produces a CSR.
-fn chunk_units<S: Deref<Target = [(NodeId, NodeId)]>>(
+pub(crate) fn chunk_units<S: Deref<Target = [(NodeId, NodeId)]>>(
     merged: &[S],
     chunk_pairs: usize,
     threads: usize,
-) -> Vec<(usize, usize, usize)> {
+) -> Vec<Unit> {
     let max_units = threads.max(1) * MAX_UNITS_PER_EDGE_FACTOR;
-    let mut units = Vec::new();
+    let mut units = Vec::with_capacity(merged.len());
     for (ei, set) in merged.iter().enumerate() {
-        if set.is_empty() {
-            units.push((ei, 0, 0));
+        if set.is_empty() || threads <= 1 {
+            units.push((ei, 0, set.len()));
             continue;
         }
         let chunk = chunk_pairs.max(1).max(set.len().div_ceil(max_units));
@@ -457,15 +202,24 @@ fn chunk_units<S: Deref<Target = [(NodeId, NodeId)]>>(
 /// Converts a unit-indexed [`ParError`] into a [`JoinError`] carrying the
 /// *edge* index of the failing unit (callers report pattern edges, not
 /// internal chunk numbers).
-fn unit_error(e: ParError, units: &[(usize, usize, usize)]) -> JoinError {
+fn unit_error(e: ParError, units: &[Unit]) -> JoinError {
     match e {
         ParError::Panicked(i) => JoinError::WorkerPanicked(units[i].0),
         ParError::Lost => JoinError::WorkerLost,
     }
 }
 
-/// One chunk's contribution to an edge's CSR, computed independently in
-/// pass 1 of the two-pass chunked build.
+/// How many units each edge was split into.
+fn units_per_edge(units: &[Unit], ne: usize) -> Vec<usize> {
+    let mut parts = vec![0usize; ne];
+    for &(ei, ..) in units {
+        parts[ei] += 1;
+    }
+    parts
+}
+
+/// One chunk's contribution to a split edge's CSR, computed independently
+/// in pass 1 of the two-pass chunked build.
 struct CsrChunk {
     /// Compacted `(src, tgt)` pairs, in input (merge) order.
     pairs: Vec<(u32, u32)>,
@@ -479,208 +233,236 @@ struct CsrChunk {
     tgts: BitSet,
 }
 
-/// Stage 1 under chunked granularity: builds every edge's [`EdgeCsr`] from
-/// *(edge, chunk)* work units in three steps —
-///
-/// 1. **per-chunk counts** (parallel): each unit compacts its pair slice
-///    through the shared dense index and counts per-source/per-target
-///    occurrences;
-/// 2. **sequential prefix stitch**: per edge, chunk counts sum into the
-///    CSR offset arrays and each chunk receives its *base* cursor — the
-///    offsets advanced past all earlier chunks' pairs — in fixed chunk
-///    order;
-/// 3. **parallel scatter**: each unit writes its payloads at the slots its
-///    base dictates. Slots are disjoint by construction (every (source,
-///    occurrence) pair maps to exactly one unit), so plain relaxed atomic
-///    stores suffice and the stored values are independent of scheduling.
-///
-/// The result is field-for-field identical to
-/// [`matchjoin::build_edge_csr`] run per edge: chunk concatenation in chunk
-/// order reproduces the input order everywhere.
-fn chunked_csrs<S: Deref<Target = [(NodeId, NodeId)]> + Sync>(
+impl CsrChunk {
+    fn count(slice: &[(NodeId, NodeId)], index: &HashMap<NodeId, u32>, m: usize) -> Self {
+        let mut c = CsrChunk {
+            pairs: Vec::with_capacity(slice.len()),
+            fcnt: vec![0u32; m],
+            rcnt: vec![0u32; m],
+            srcs: BitSet::new(m),
+            tgts: BitSet::new(m),
+        };
+        for &(s, t) in slice {
+            let (cs, ct) = (index[&s], index[&t]);
+            c.pairs.push((cs, ct));
+            c.fcnt[cs as usize] += 1;
+            c.rcnt[ct as usize] += 1;
+            c.srcs.insert(cs as usize);
+            c.tgts.insert(ct as usize);
+        }
+        c
+    }
+}
+
+/// Pass 1 output of one unit: a whole edge's CSR, or a split edge's chunk.
+enum Built {
+    Whole(EdgeCsr),
+    Part(CsrChunk),
+}
+
+/// A split edge after the prefix stitch: its offsets and endpoint sets,
+/// the per-chunk base cursors, and the payload buffers pass 2 scatters
+/// into.
+struct Stitched {
+    fo: Vec<u32>,
+    ro: Vec<u32>,
+    srcs: BitSet,
+    tgts: BitSet,
+    /// Per chunk: where each source/target slot starts for that chunk.
+    bases: Vec<(Vec<u32>, Vec<u32>)>,
+    ft: Vec<AtomicU32>,
+    rs: Vec<AtomicU32>,
+}
+
+impl Stitched {
+    /// Sums the chunk counts into CSR offsets and hands each chunk the
+    /// cursors its predecessors left, in fixed chunk order.
+    fn new(chunks: &[CsrChunk], m: usize) -> Self {
+        let mut fo = vec![0u32; m + 1];
+        let mut ro = vec![0u32; m + 1];
+        let mut srcs = BitSet::new(m);
+        let mut tgts = BitSet::new(m);
+        for c in chunks {
+            for v in 0..m {
+                fo[v + 1] += c.fcnt[v];
+                ro[v + 1] += c.rcnt[v];
+            }
+            srcs.union_with(&c.srcs);
+            tgts.union_with(&c.tgts);
+        }
+        for v in 0..m {
+            fo[v + 1] += fo[v];
+            ro[v + 1] += ro[v];
+        }
+        let (mut fcur, mut rcur) = (fo[..m].to_vec(), ro[..m].to_vec());
+        let mut bases = Vec::with_capacity(chunks.len());
+        for c in chunks {
+            bases.push((fcur.clone(), rcur.clone()));
+            for (cur, &cnt) in fcur.iter_mut().zip(&c.fcnt) {
+                *cur += cnt;
+            }
+            for (cur, &cnt) in rcur.iter_mut().zip(&c.rcnt) {
+                *cur += cnt;
+            }
+        }
+        let n = fo[m] as usize;
+        Stitched {
+            fo,
+            ro,
+            srcs,
+            tgts,
+            bases,
+            ft: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            rs: (0..n).map(|_| AtomicU32::new(0)).collect(),
+        }
+    }
+
+    /// Pass 2 for one chunk: writes its payloads at the slots its base
+    /// dictates. Slots are disjoint by construction (every (source,
+    /// occurrence) pair maps to exactly one chunk), so relaxed stores are
+    /// race-free on *values* regardless of interleaving.
+    fn scatter(&self, k: usize, chunk: &CsrChunk) {
+        let (mut fcur, mut rcur) = self.bases[k].clone();
+        for &(s, t) in &chunk.pairs {
+            self.ft[fcur[s as usize] as usize].store(t, Ordering::Relaxed);
+            fcur[s as usize] += 1;
+            self.rs[rcur[t as usize] as usize].store(s, Ordering::Relaxed);
+            rcur[t as usize] += 1;
+        }
+    }
+
+    /// The finished CSR: chunk pairs concatenated in chunk order reproduce
+    /// the input order, so the result is field-for-field identical to
+    /// [`matchjoin::build_edge_csr`] on the whole edge.
+    fn finish(self, chunks: Vec<CsrChunk>) -> EdgeCsr {
+        let unwrap = |v: Vec<AtomicU32>| v.into_iter().map(AtomicU32::into_inner).collect();
+        EdgeCsr {
+            pairs: chunks.into_iter().flat_map(|c| c.pairs).collect(),
+            srcs: self.srcs,
+            tgts: self.tgts,
+            fwd: (self.fo, unwrap(self.ft)),
+            rev: (self.ro, unwrap(self.rs)),
+        }
+    }
+}
+
+/// The kernel's CSR-build stage over `units` ([`chunk_units`]). Pass 1
+/// fans every unit across the workers: a whole edge runs
+/// [`matchjoin::build_edge_csr`], a split edge's chunk compacts its pair
+/// slice and counts per-source/per-target occurrences. Split edges then
+/// take a sequential prefix stitch ([`Stitched::new`]) and a parallel
+/// scatter of their chunks (pass 2).
+pub(crate) fn build_csrs<S: Deref<Target = [(NodeId, NodeId)]> + Sync>(
     merged: &[S],
+    units: &[Unit],
     index: &HashMap<NodeId, u32>,
     m: usize,
     threads: usize,
-    chunk_pairs: usize,
 ) -> Result<Vec<EdgeCsr>, JoinError> {
     let ne = merged.len();
-    let units = chunk_units(merged, chunk_pairs, threads);
-
-    // Pass 1 (parallel): per-chunk compaction + counts.
-    let chunks: Vec<CsrChunk> = par_map(units.len(), threads, |i| {
+    let parts = units_per_edge(units, ne);
+    let built = par_map(units.len(), threads, |i| {
         let (ei, start, end) = units[i];
-        let slice = &merged[ei][start..end];
-        let mut pairs = Vec::with_capacity(slice.len());
-        let mut fcnt = vec![0u32; m];
-        let mut rcnt = vec![0u32; m];
-        let mut srcs = BitSet::new(m);
-        let mut tgts = BitSet::new(m);
-        for &(s, t) in slice {
-            let (cs, ct) = (index[&s], index[&t]);
-            pairs.push((cs, ct));
-            fcnt[cs as usize] += 1;
-            rcnt[ct as usize] += 1;
-            srcs.insert(cs as usize);
-            tgts.insert(ct as usize);
-        }
-        CsrChunk {
-            pairs,
-            fcnt,
-            rcnt,
-            srcs,
-            tgts,
+        if parts[ei] == 1 {
+            Built::Whole(matchjoin::build_edge_csr(&merged[ei], index, m))
+        } else {
+            Built::Part(CsrChunk::count(&merged[ei][start..end], index, m))
         }
     })
-    .map_err(|e| unit_error(e, &units))?;
+    .map_err(|e| unit_error(e, units))?;
 
-    // Sequential prefix stitch, per edge in chunk order: offsets + per-unit
-    // base cursors. `units` is edge-major, so a single pass groups them.
-    let mut fo: Vec<Vec<u32>> = (0..ne).map(|_| vec![0u32; m + 1]).collect();
-    let mut ro: Vec<Vec<u32>> = (0..ne).map(|_| vec![0u32; m + 1]).collect();
-    let mut srcs: Vec<BitSet> = (0..ne).map(|_| BitSet::new(m)).collect();
-    let mut tgts: Vec<BitSet> = (0..ne).map(|_| BitSet::new(m)).collect();
-    for (ui, &(ei, ..)) in units.iter().enumerate() {
-        let c = &chunks[ui];
-        for v in 0..m {
-            fo[ei][v + 1] += c.fcnt[v];
-            ro[ei][v + 1] += c.rcnt[v];
-        }
-        srcs[ei].union_with(&c.srcs);
-        tgts[ei].union_with(&c.tgts);
-    }
-    for ei in 0..ne {
-        for v in 0..m {
-            fo[ei][v + 1] += fo[ei][v];
-            ro[ei][v + 1] += ro[ei][v];
-        }
-    }
-    // Base cursors: chunk k of edge e starts each source/target slot where
-    // chunks 0..k left off. Running cursors advance in fixed unit order.
-    let mut fbase: Vec<Vec<u32>> = Vec::with_capacity(units.len());
-    let mut rbase: Vec<Vec<u32>> = Vec::with_capacity(units.len());
-    {
-        let mut fcur: Vec<Option<Vec<u32>>> = (0..ne).map(|_| None).collect();
-        let mut rcur: Vec<Option<Vec<u32>>> = (0..ne).map(|_| None).collect();
-        for (ui, &(ei, ..)) in units.iter().enumerate() {
-            let fc = fcur[ei].get_or_insert_with(|| fo[ei][..m].to_vec());
-            fbase.push(fc.clone());
-            for (cur, &cnt) in fc.iter_mut().zip(&chunks[ui].fcnt) {
-                *cur += cnt;
-            }
-            let rc = rcur[ei].get_or_insert_with(|| ro[ei][..m].to_vec());
-            rbase.push(rc.clone());
-            for (cur, &cnt) in rc.iter_mut().zip(&chunks[ui].rcnt) {
-                *cur += cnt;
-            }
+    let mut whole: Vec<Option<EdgeCsr>> = (0..ne).map(|_| None).collect();
+    let mut chunks: Vec<Vec<CsrChunk>> = (0..ne).map(|_| Vec::new()).collect();
+    for (&(ei, ..), b) in units.iter().zip(built) {
+        match b {
+            Built::Whole(csr) => whole[ei] = Some(csr),
+            Built::Part(c) => chunks[ei].push(c),
         }
     }
 
-    // Pass 2 (parallel): scatter payloads into per-edge atomic buffers.
-    // Every slot is written exactly once (disjoint by the stitch), so
-    // relaxed stores are race-free on *values* regardless of interleaving.
-    let sizes: Vec<usize> = (0..ne).map(|ei| merged[ei].len()).collect();
-    let ft: Vec<Vec<AtomicU32>> = sizes
+    let stitched: Vec<Option<Stitched>> = chunks
         .iter()
-        .map(|&n| (0..n).map(|_| AtomicU32::new(0)).collect())
+        .map(|cs| (!cs.is_empty()).then(|| Stitched::new(cs, m)))
         .collect();
-    let rs: Vec<Vec<AtomicU32>> = sizes
-        .iter()
-        .map(|&n| (0..n).map(|_| AtomicU32::new(0)).collect())
+    let split: Vec<(usize, usize)> = (0..ne)
+        .flat_map(|ei| (0..chunks[ei].len()).map(move |k| (ei, k)))
         .collect();
-    par_map(units.len(), threads, |ui| {
-        let (ei, ..) = units[ui];
-        let mut fcur = fbase[ui].clone();
-        let mut rcur = rbase[ui].clone();
-        for &(s, t) in &chunks[ui].pairs {
-            ft[ei][fcur[s as usize] as usize].store(t, Ordering::Relaxed);
-            fcur[s as usize] += 1;
-            rs[ei][rcur[t as usize] as usize].store(s, Ordering::Relaxed);
-            rcur[t as usize] += 1;
-        }
+    par_map(split.len(), threads, |i| {
+        let (ei, k) = split[i];
+        stitched[ei]
+            .as_ref()
+            .expect("split edge")
+            .scatter(k, &chunks[ei][k]);
     })
-    .map_err(|e| unit_error(e, &units))?;
+    .map_err(|e| match e {
+        ParError::Panicked(i) => JoinError::WorkerPanicked(split[i].0),
+        ParError::Lost => JoinError::WorkerLost,
+    })?;
 
-    // Assemble: concatenated pairs (chunk order = input order) + unwrapped
-    // payload buffers.
-    let mut per_edge_pairs: Vec<Vec<(u32, u32)>> =
-        sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for (ui, &(ei, ..)) in units.iter().enumerate() {
-        per_edge_pairs[ei].extend_from_slice(&chunks[ui].pairs);
-    }
-    let unwrap = |v: Vec<AtomicU32>| {
-        v.into_iter()
-            .map(AtomicU32::into_inner)
-            .collect::<Vec<u32>>()
-    };
-    let mut out = Vec::with_capacity(ne);
-    for (ei, ((((pairs, sb), tb), f), r)) in per_edge_pairs
+    Ok(whole
         .into_iter()
-        .zip(srcs)
-        .zip(tgts)
-        .zip(ft)
-        .zip(rs)
-        .enumerate()
-    {
-        out.push(EdgeCsr {
-            pairs,
-            srcs: sb,
-            tgts: tb,
-            fwd: (std::mem::take(&mut fo[ei]), unwrap(f)),
-            rev: (std::mem::take(&mut ro[ei]), unwrap(r)),
-        });
-    }
-    Ok(out)
+        .zip(stitched)
+        .zip(chunks)
+        .map(|((w, st), cs)| match st {
+            Some(st) => st.finish(cs),
+            None => w.expect("whole edge"),
+        })
+        .collect())
 }
 
 /// One edge's support counters plus its zero-support seed list — the
-/// per-edge output shape of stage 3 ([`matchjoin::edge_support`]).
-type SupportSeeds = (Vec<u32>, Vec<u32>);
+/// per-edge output shape of [`matchjoin::edge_support`].
+pub(crate) type SupportSeeds = (Vec<u32>, Vec<u32>);
 
-/// Stage 3 under chunked granularity: [`matchjoin::edge_support`] computed
-/// over *(edge, node-range)* units. Each unit owns a disjoint slice
-/// `[lo, hi)` of the dense node domain, so the counter merge is pure
-/// concatenation in range order — support vectors and zero-support seed
-/// lists come out identical to the sequential per-edge computation (which
-/// iterates candidates in ascending dense order).
+/// The kernel's support stage, by edge. A whole edge runs
+/// [`matchjoin::edge_support`]; a split edge is computed over
+/// *(edge, node-range)* units that each own a disjoint slice `[lo, hi)` of
+/// the dense node domain, so the counter merge is pure concatenation in
+/// range order — support vectors and seed lists come out identical to the
+/// per-edge computation (which iterates candidates in ascending dense
+/// order).
 ///
 /// The range size is derived from the **node domain** (`m`), not taken
-/// verbatim from `chunk_pairs`: the planner's chunk size is a pair-count
-/// budget, and on dense extensions (`chunk_pairs ≥ m`) using it as a node
-/// range would collapse this stage back to one unit per edge — exactly
-/// the `|Eq|` ceiling chunked granularity exists to break. The domain is
-/// split so every edge yields ~2 units per worker, capped *below* by
-/// `chunk_pairs` when the caller pinned something finer (the equivalence
-/// tests sweep range 1 through it).
-fn ranged_support(
+/// verbatim from `chunk`: the chunk is a pair-count budget, and on dense
+/// extensions (`chunk ≥ m`) using it as a node range would collapse this
+/// stage back to one unit per edge. The domain is split so every split
+/// edge yields ~2 units per worker, capped *below* by `chunk` when the
+/// caller pinned something finer (the equivalence tests sweep range 1
+/// through it).
+pub(crate) fn supports(
+    q: &Pattern,
     csrs: &[EdgeCsr],
     cand: &[BitSet],
-    edge_src: &[(PatternNodeId, PatternNodeId)],
     m: usize,
+    units: &[Unit],
     threads: usize,
-    chunk_pairs: usize,
+    chunk: usize,
 ) -> Result<Vec<SupportSeeds>, JoinError> {
     let ne = csrs.len();
-    let domain_split = m.div_ceil(threads.max(1) * 2).max(1);
-    let range = domain_split.min(chunk_pairs.max(1));
-    let mut units: Vec<(usize, usize, usize)> = Vec::new();
-    for ei in 0..ne {
-        if m == 0 {
-            units.push((ei, 0, 0));
+    let parts = units_per_edge(units, ne);
+    let range = m.div_ceil(threads.max(1) * 2).max(1).min(chunk.max(1));
+    let mut ranges: Vec<Unit> = Vec::with_capacity(ne);
+    for (ei, &p) in parts.iter().enumerate() {
+        if p == 1 {
+            ranges.push((ei, 0, m));
             continue;
         }
         let mut lo = 0;
         while lo < m {
             let hi = (lo + range).min(m);
-            units.push((ei, lo, hi));
+            ranges.push((ei, lo, hi));
             lo = hi;
         }
     }
+    let ranged = units_per_edge(&ranges, ne);
 
-    let parts: Vec<SupportSeeds> = par_map(units.len(), threads, |ui| {
-        let (ei, lo, hi) = units[ui];
-        let (u, t) = edge_src[ei];
+    let computed = par_map(ranges.len(), threads, |i| {
+        let (ei, lo, hi) = ranges[i];
+        let (u, t) = q.edge(PatternEdgeId(ei as u32));
         let (cand_u, cand_t) = (&cand[u.index()], &cand[t.index()]);
+        if ranged[ei] == 1 {
+            return matchjoin::edge_support(&csrs[ei], cand_u, cand_t, m);
+        }
         let (fo, ft) = &csrs[ei].fwd;
         let mut sup = vec![0u32; hi - lo];
         let mut seeds = Vec::new();
@@ -700,107 +482,23 @@ fn ranged_support(
         }
         (sup, seeds)
     })
-    .map_err(|e| unit_error(e, &units))?;
+    .map_err(|e| unit_error(e, &ranges))?;
 
-    let mut out: Vec<SupportSeeds> = (0..ne).map(|_| (vec![0u32; m], Vec::new())).collect();
-    for (ui, &(ei, lo, hi)) in units.iter().enumerate() {
-        let (sup, seeds) = &parts[ui];
-        out[ei].0[lo..hi].copy_from_slice(sup);
-        out[ei].1.extend_from_slice(seeds);
+    // Ranges are edge-major: a split edge's ranges land in its last slot.
+    let mut out: Vec<SupportSeeds> = Vec::with_capacity(ne);
+    for (&(ei, lo, hi), (sup, seeds)) in ranges.iter().zip(computed) {
+        if ranged[ei] == 1 {
+            out.push((sup, seeds));
+            continue;
+        }
+        if lo == 0 {
+            out.push((vec![0u32; m], Vec::new()));
+        }
+        let (full, all) = out.last_mut().expect("edge-major ranges");
+        full[lo..hi].copy_from_slice(&sup);
+        all.extend(seeds);
     }
     Ok(out)
-}
-
-/// Chunk-parallel sort + dedup: splits `set` into fixed index-aligned
-/// chunks, sorts each across the workers, then k-way-merges the sorted runs
-/// sequentially with dedup. Output equals `set.sort_unstable(); set.dedup()`
-/// — a fully sorted, duplicate-free vector is canonical, so the chunk
-/// decomposition is invisible in the result.
-///
-/// The requested chunk size is floored so at most `threads × 4` runs are
-/// produced: the merge scans every run's cursor per emitted element, so
-/// run count — not chunk size — is what the sequential phase pays for (a
-/// fixed small chunk over a 10M-pair union would otherwise create
-/// thousands of runs and make the merge quadratic-ish, slower than the
-/// sequential sort it replaces).
-pub(crate) fn par_sort_dedup(
-    set: Vec<(NodeId, NodeId)>,
-    threads: usize,
-    chunk_pairs: usize,
-) -> Result<Vec<(NodeId, NodeId)>, ParError> {
-    let chunk = chunk_pairs
-        .max(1)
-        .max(set.len().div_ceil(threads.max(1) * 4));
-    if threads <= 1 || set.len() <= chunk {
-        let mut set = set;
-        set.sort_unstable();
-        set.dedup();
-        return Ok(set);
-    }
-    let bounds: Vec<(usize, usize)> = (0..set.len().div_ceil(chunk))
-        .map(|k| (k * chunk, ((k + 1) * chunk).min(set.len())))
-        .collect();
-    let runs: Vec<Vec<(NodeId, NodeId)>> = par_map(bounds.len(), threads, |k| {
-        let (lo, hi) = bounds[k];
-        let mut run = set[lo..hi].to_vec();
-        run.sort_unstable();
-        run
-    })?;
-    // Sequential k-way merge with dedup (≤ 4×threads runs by the floor
-    // above, so the per-element cursor scan stays O(threads)).
-    let mut cursors = vec![0usize; runs.len()];
-    let mut out: Vec<(NodeId, NodeId)> = Vec::with_capacity(set.len());
-    loop {
-        let mut best: Option<(usize, (NodeId, NodeId))> = None;
-        for (k, run) in runs.iter().enumerate() {
-            if let Some(&v) = run.get(cursors[k]) {
-                if best.is_none_or(|(_, b)| v < b) {
-                    best = Some((k, v));
-                }
-            }
-        }
-        let Some((k, v)) = best else { break };
-        cursors[k] += 1;
-        if out.last() != Some(&v) {
-            out.push(v);
-        }
-    }
-    Ok(out)
-}
-
-/// The union merge (`Se := ⋃_{e' ∈ λ(e)} S_e'`) with the per-edge
-/// sort/dedup fanned across workers via [`par_sort_dedup`] — the parallel
-/// counterpart of [`matchjoin::merge_step_union`], byte-identical output.
-pub(crate) fn par_merge_step_union<'a>(
-    q: &Pattern,
-    plan: &ContainmentPlan,
-    ext: &'a ViewExtensions,
-    threads: usize,
-    chunk_pairs: usize,
-) -> Result<MergedSets<'a>, JoinError> {
-    if q.edge_count() == 0 {
-        return Err(JoinError::NoEdges);
-    }
-    if plan.lambda.len() != q.edge_count() {
-        return Err(JoinError::PlanMismatch);
-    }
-    let mut merged = Vec::with_capacity(q.edge_count());
-    for (ei, entries) in plan.lambda.iter().enumerate() {
-        let mut set: Vec<(NodeId, NodeId)> = Vec::new();
-        for r in entries {
-            if r.view >= ext.extensions.len() {
-                return Err(JoinError::ViewOutOfRange(r.view));
-            }
-            set.extend_from_slice(ext.edge_set(r.view, r.edge));
-        }
-        merged.push(Cow::Owned(
-            par_sort_dedup(set, threads, chunk_pairs).map_err(|e| match e {
-                ParError::Panicked(_) => JoinError::WorkerPanicked(ei),
-                ParError::Lost => JoinError::WorkerLost,
-            })?,
-        ));
-    }
-    Ok(merged)
 }
 
 #[cfg(test)]
@@ -883,9 +581,20 @@ mod tests {
             .collect()
     }
 
-    /// The chunked two-pass CSR build must be field-for-field identical to
-    /// the sequential per-edge build, for every chunk size — including 1
-    /// (every pair its own unit) and larger than the set (one unit).
+    /// One worker never splits an edge, whatever the chunk size.
+    #[test]
+    fn one_worker_keeps_every_edge_whole() {
+        let sets = vec![scrambled_pairs(97, 3), Vec::new(), scrambled_pairs(10, 5)];
+        assert_eq!(
+            chunk_units(&sets, 1, 1),
+            vec![(0, 0, 97), (1, 0, 0), (2, 0, 10)]
+        );
+    }
+
+    /// The CSR stage must be field-for-field identical to the per-edge
+    /// build, for every chunk size — including 1 (every pair its own unit)
+    /// and larger than the set (one unit per edge), with split and whole
+    /// edges mixed in one merge.
     #[test]
     fn chunked_csr_build_matches_sequential() {
         let sets = vec![
@@ -901,9 +610,10 @@ mod tests {
             .map(|s| matchjoin::build_edge_csr(s, &index, m))
             .collect();
         for chunk in [1usize, 3, 16, 64, 1000] {
-            for threads in [2usize, 4, 8] {
-                let chunked = chunked_csrs(&sets, &index, m, threads, chunk).unwrap();
-                for (ei, (a, b)) in baseline.iter().zip(&chunked).enumerate() {
+            for threads in [1usize, 2, 4, 8] {
+                let units = chunk_units(&sets, chunk, threads);
+                let built = build_csrs(&sets, &units, &index, m, threads).unwrap();
+                for (ei, (a, b)) in baseline.iter().zip(&built).enumerate() {
                     assert_eq!(a.pairs, b.pairs, "pairs e{ei} chunk={chunk} t={threads}");
                     assert_eq!(a.srcs, b.srcs, "srcs e{ei}");
                     assert_eq!(a.tgts, b.tgts, "tgts e{ei}");
@@ -914,7 +624,7 @@ mod tests {
         }
     }
 
-    /// Ranged support must concatenate to exactly the sequential counters
+    /// Ranged support must concatenate to exactly the per-edge counters
     /// and seed lists (ascending dense order), for every range size.
     #[test]
     fn ranged_support_matches_sequential() {
@@ -932,32 +642,12 @@ mod tests {
             .map(|s| matchjoin::build_edge_csr(s, &index, m))
             .collect();
         let cand = matchjoin::build_candidates(&q, &csrs, m).expect("nonempty");
-        let edge_src: Vec<(PatternNodeId, PatternNodeId)> = vec![q.edge(PatternEdgeId(0))];
-        let (u, t) = edge_src[0];
+        let (u, t) = q.edge(PatternEdgeId(0));
         let baseline = matchjoin::edge_support(&csrs[0], &cand[u.index()], &cand[t.index()], m);
         for range in [1usize, 2, 7, 64, 1000] {
-            let ranged = ranged_support(&csrs, &cand, &edge_src, m, 4, range).unwrap();
+            let units = chunk_units(&sets, range, 4);
+            let ranged = supports(&q, &csrs, &cand, m, &units, 4, range).unwrap();
             assert_eq!(ranged[0], baseline, "range={range}");
-        }
-    }
-
-    /// Chunk-parallel sort + dedup equals the sequential canonical form for
-    /// every chunk size and thread count (duplicates included).
-    #[test]
-    fn par_sort_dedup_matches_sequential() {
-        let mut set = scrambled_pairs(200, 13);
-        set.extend(scrambled_pairs(50, 13)); // guaranteed duplicates
-        let mut expected = set.clone();
-        expected.sort_unstable();
-        expected.dedup();
-        for chunk in [1usize, 7, 64, 500] {
-            for threads in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    par_sort_dedup(set.clone(), threads, chunk).unwrap(),
-                    expected,
-                    "chunk={chunk} t={threads}"
-                );
-            }
         }
     }
 
@@ -982,7 +672,8 @@ mod tests {
         let mut broken = index.clone();
         broken.remove(&sets[1][37].0);
         let m = index.len();
-        let err = chunked_csrs(&sets, &broken, m, 4, 8).unwrap_err();
+        let units = chunk_units(&sets, 8, 4);
+        let err = build_csrs(&sets, &units, &broken, m, 4).unwrap_err();
         std::panic::set_hook(hook);
         assert_eq!(err, JoinError::WorkerPanicked(1), "edge index, not unit");
     }

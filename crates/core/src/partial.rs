@@ -204,7 +204,12 @@ pub fn hybrid_match_join(
     let sources = sources_from_partial(partial, ext)?;
     let merged = merged_from_sources(q, &sources, ext, Some(g))?;
     // Same refinement as MatchJoin from here on.
-    crate::matchjoin::run_fixpoint_public(q, merged)
+    crate::matchjoin::run_fixpoint(
+        q,
+        merged,
+        crate::plan::ExecStrategy::Sequential(crate::matchjoin::JoinStrategy::RankedBottomUp),
+        &crate::engine::EngineConfig::default(),
+    )
 }
 
 /// Convenience: full pipeline — maximal coverage, then hybrid evaluation.

@@ -6,8 +6,8 @@
 //! queries of what shape over how many labels, how the serving schedule
 //! repeats them (zipfian), what fraction of the covering view set is
 //! registered, how the store mutates between rounds, and the full engine/
-//! service configuration (selection mode, executor + granularity, threads,
-//! chunk size, cost weights, cache budgets, recalibration cadence). Two
+//! service configuration (selection mode, executor, threads, chunk size,
+//! cost weights, cache budgets, recalibration cadence). Two
 //! invariants make it a fuzzing substrate:
 //!
 //! * **One-seed determinism** — [`Scenario::sample`] is a pure function of
@@ -39,8 +39,8 @@ use gpv_core::differential::{
     PlainOracle,
 };
 use gpv_core::{
-    BoundedViewSet, CostModel, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, ParGranularity,
-    SelectionMode, ServiceConfig, ViewDef, ViewSet,
+    BoundedViewSet, CostModel, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, SelectionMode,
+    ServiceConfig, ViewDef, ViewSet,
 };
 use gpv_graph::{DataGraph, NodeId};
 use gpv_matching::{bmatch_pattern, match_pattern};
@@ -109,10 +109,9 @@ pub enum QueryMode {
 pub enum ExecKnob {
     /// Single-threaded ranked-bottom-up.
     Sequential,
-    /// Parallel, one work unit per pattern edge.
-    ParallelPerEdge,
-    /// Parallel, chunked within each edge's pair set.
-    ParallelChunked,
+    /// The ranked kernel fanned across [`Scenario::threads`] workers, with
+    /// the chunk size pinned to [`Scenario::chunk_pairs`].
+    Parallel,
 }
 
 /// Which cost-weight class the engine plans under.
@@ -176,7 +175,8 @@ pub struct Scenario {
     pub exec: ExecKnob,
     /// Worker threads for parallel executors.
     pub threads: usize,
-    /// Pairs per chunk for [`ExecKnob::ParallelChunked`].
+    /// Pairs per chunk for [`ExecKnob::Parallel`] (at fuzz scale the
+    /// largest sweep value keeps every edge a single unit).
     pub chunk_pairs: usize,
     /// Cost-weight class under test.
     pub weights: WeightsKnob,
@@ -225,7 +225,8 @@ impl Scenario {
     /// seeded with `master_seed`.
     ///
     /// Configuration axes cycle with short periods so coverage is
-    /// guaranteed, not probabilistic: query mode has period 5, executor 3,
+    /// guaranteed, not probabilistic: query mode has period 5, executor 3
+    /// (sequential, parallel, parallel — coprime with the weights' 2),
     /// weight class 4 (default on even indices, the two calibrated classes
     /// alternating on odd), cache state 4, threads/chunk sizes 3 and 4
     /// (offset so they decorrelate from the other axes). Everything else
@@ -243,8 +244,7 @@ impl Scenario {
         };
         let exec = match index % 3 {
             0 => ExecKnob::Sequential,
-            1 => ExecKnob::ParallelPerEdge,
-            _ => ExecKnob::ParallelChunked,
+            _ => ExecKnob::Parallel,
         };
         let weights = if index % 2 == 0 {
             WeightsKnob::Default
@@ -496,19 +496,12 @@ impl Scenario {
     }
 
     /// The engine configuration the scenario forces (executor, selection
-    /// mode, threads, chunking, weights).
+    /// mode, threads, chunk size, weights).
     pub fn engine_config(&self) -> EngineConfig {
         let force_exec = Some(match self.exec {
             ExecKnob::Sequential => ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
-            ExecKnob::ParallelPerEdge => ExecStrategy::Parallel {
+            ExecKnob::Parallel => ExecStrategy::Parallel {
                 threads: self.threads,
-                granularity: ParGranularity::PerEdge,
-            },
-            ExecKnob::ParallelChunked => ExecStrategy::Parallel {
-                threads: self.threads,
-                granularity: ParGranularity::Chunked {
-                    chunk_pairs: self.chunk_pairs.max(1),
-                },
             },
         });
         let force_selection = match self.mode {
@@ -520,8 +513,7 @@ impl Scenario {
         EngineConfig {
             cost: self.cost_model(),
             threads: self.threads,
-            chunk_pairs: matches!(self.exec, ExecKnob::ParallelChunked)
-                .then_some(self.chunk_pairs.max(1)),
+            chunk_pairs: (self.exec == ExecKnob::Parallel).then_some(self.chunk_pairs),
             force_selection,
             force_exec,
         }
@@ -684,11 +676,7 @@ mod tests {
             caches.insert(sc.result_cache_bytes);
         }
         assert_eq!(modes.len(), 5, "all five query modes: {modes:?}");
-        assert_eq!(
-            execs.len(),
-            3,
-            "both executors, both granularities: {execs:?}"
-        );
+        assert_eq!(execs.len(), 2, "both executors: {execs:?}");
         assert_eq!(weights.len(), 2, "default and calibrated weights");
         assert!(caches.len() >= 2, "≥ 2 cache states: {caches:?}");
     }

@@ -1,13 +1,14 @@
 //! Persistence contract tests for the columnar shard format: a store
 //! saved to disk and reloaded must serve **bit-identical** answers to the
 //! boxed `match_pattern` ground truth across every query mode × executor
-//! × granularity the planner can pick, and corrupt shard files must load
+//! the planner can pick (and derived or pinned chunk sizes), and corrupt
+//! shard files must load
 //! as clean errors — never panics — in both debug and release builds.
 
 use gpv_generator::{covering_views, random_graph, random_pattern, PatternShape};
 use graph_views::prelude::*;
 use graph_views::views::store::ViewStore;
-use graph_views::views::{CompactView, ExecStrategy, ParGranularity, ViewService};
+use graph_views::views::{CompactView, ExecStrategy, ViewService};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,8 +35,9 @@ fn arb_query() -> impl Strategy<Value = Pattern> {
 }
 
 /// Five query modes (cost-based auto + the three pinned selections + the
-/// pinned sequential executor) plus the parallel executor at both
-/// granularities: every plan shape a reloaded store can serve under.
+/// pinned sequential executor) plus the parallel executor with a derived
+/// and a pinned chunk size: every plan shape a reloaded store can serve
+/// under.
 fn all_configs() -> Vec<EngineConfig> {
     let mut cfgs = vec![EngineConfig::default()];
     for m in [
@@ -53,15 +55,10 @@ fn all_configs() -> Vec<EngineConfig> {
         ..EngineConfig::default()
     });
     for threads in [2usize, 4] {
-        for granularity in [
-            ParGranularity::PerEdge,
-            ParGranularity::Chunked { chunk_pairs: 3 },
-        ] {
+        for chunk_pairs in [None, Some(3)] {
             cfgs.push(EngineConfig {
-                force_exec: Some(ExecStrategy::Parallel {
-                    threads,
-                    granularity,
-                }),
+                chunk_pairs,
+                force_exec: Some(ExecStrategy::Parallel { threads }),
                 ..EngineConfig::default()
             });
         }
@@ -99,8 +96,8 @@ proptest! {
         let served = service.serve_batch(std::slice::from_ref(&q), Some(&g));
         prop_assert_eq!(&*served[0].as_ref().unwrap().result, &direct);
 
-        // ...and through engines pinned to every mode × executor ×
-        // granularity, views-only (no graph access at all).
+        // ...and through engines pinned to every mode × executor × chunk
+        // size, views-only (no graph access at all).
         let snap = loaded.snapshot();
         for cfg in all_configs() {
             let engine = QueryEngine::from_snapshot(&snap).with_config(cfg);
