@@ -23,8 +23,8 @@ impl Fnv1a {
     }
 
     /// Mixes a whole `u64` in one round (the historical
-    /// [`graph_fingerprint`](crate::storage::graph_fingerprint) granularity,
-    /// kept so existing cache fingerprints stay valid).
+    /// [`graph_fingerprint`](crate::shard::graph_fingerprint) granularity,
+    /// kept so existing store fingerprints stay valid).
     pub(crate) fn write_u64_coarse(&mut self, x: u64) {
         self.0 = (self.0 ^ x).wrapping_mul(PRIME);
     }

@@ -61,7 +61,6 @@ pub mod plan;
 pub mod selection;
 pub mod service;
 pub mod shard;
-pub mod storage;
 pub mod store;
 pub mod verify;
 pub mod view;
@@ -99,7 +98,6 @@ pub use service::{
     ServiceStats, ViewService,
 };
 pub use shard::{decode_shard, encode_shard, ShardError, StoreMeta, SHARD_MAGIC, SHARD_VERSION};
-pub use storage::{BoundedViewCache, CacheError, ViewCache};
 pub use store::{
     DeltaReport, EvictionAdvice, ShardOccupancy, StoreError, StoreSnapshot, StoredView, ViewStore,
 };

@@ -20,9 +20,15 @@
 //!   extension is currently empty has no warm state to extend and falls
 //!   back to one refinement from the cached predicate-candidate sets.
 //!
-//! The invariant `self.result() == match_pattern(pattern, current_graph)`
-//! is enforced by the tests below and by property tests in `tests/`.
+//! A maintainer owns no copy of the graph. It keeps the predicate base
+//! sets, the current relation and its support counters, and each
+//! [`apply`](IncrementalView::apply) borrows the immutable graphs before
+//! and after the delta. The invariant is
+//! `view.result(g) == match_pattern(pattern, g)`, where `g` is the graph
+//! the view was built over or the `after` graph of its last `apply`. It is
+//! enforced by the tests below and by property tests in `tests/`.
 
+use crate::delta::EdgeDelta;
 use gpv_graph::{BitSet, DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternNodeId};
@@ -31,9 +37,6 @@ use gpv_pattern::{Pattern, PatternNodeId};
 #[derive(Clone, Debug)]
 pub struct IncrementalView {
     pattern: Pattern,
-    /// Mutable adjacency (the maintained copy of the graph's edges).
-    out_adj: Vec<Vec<NodeId>>,
-    in_adj: Vec<Vec<NodeId>>,
     /// Predicate-satisfying candidates (static: node labels/attrs are fixed).
     base: Vec<BitSet>,
     /// Current maximum simulation relation (empty vec when no match).
@@ -50,13 +53,18 @@ pub struct IncrementalView {
     dirty: bool,
 }
 
+/// How many successors of `v` in `g` lie in `targets`.
+fn support_in(g: &DataGraph, v: usize, targets: &BitSet) -> u32 {
+    g.out_neighbors(NodeId(v as u32))
+        .iter()
+        .filter(|w| targets.contains(w.index()))
+        .count() as u32
+}
+
 impl IncrementalView {
-    /// Adjacency mirror + predicate base sets, with no relation yet.
+    /// Predicate base sets, with no relation yet.
     fn cold(pattern: Pattern, g: &DataGraph) -> Self {
         let n = g.node_count();
-        let out_adj: Vec<Vec<NodeId>> = g.nodes().map(|v| g.out_neighbors(v).to_vec()).collect();
-        let in_adj: Vec<Vec<NodeId>> = g.nodes().map(|v| g.in_neighbors(v).to_vec()).collect();
-
         let mut base = Vec::with_capacity(pattern.node_count());
         for u in pattern.nodes() {
             let resolved = pattern.pred(u).resolve(g);
@@ -71,8 +79,6 @@ impl IncrementalView {
 
         IncrementalView {
             pattern,
-            out_adj,
-            in_adj,
             base,
             cand: Vec::new(),
             support: Vec::new(),
@@ -84,7 +90,7 @@ impl IncrementalView {
     /// Materializes `pattern` over `g` and prepares maintenance state.
     pub fn new(pattern: Pattern, g: &DataGraph) -> Self {
         let mut view = Self::cold(pattern, g);
-        view.recompute();
+        view.refine(g, view.base.clone());
         view
     }
 
@@ -92,38 +98,28 @@ impl IncrementalView {
     ///
     /// `result` must be exactly `match_pattern(&pattern, g)` — e.g. a thawed
     /// stored extension for the store's current graph. The refinement
-    /// fixpoint is skipped entirely (the maximum relation is known); only
-    /// the support counters are recomputed, over the relation rather than
-    /// the base sets. This is how a store warms maintainers on the first
-    /// delta without re-deriving what materialization already computed.
+    /// starts from that relation rather than the base sets, so it only
+    /// counts supports: no candidate is removed. This is how a store warms
+    /// maintainers on the first delta without re-deriving what
+    /// materialization already computed.
     pub fn from_result(pattern: Pattern, g: &DataGraph, result: &MatchResult) -> Self {
         let mut view = Self::cold(pattern, g);
         if result.is_empty() {
             return view;
         }
-        let n = view.node_count();
-        let ne = view.pattern.edge_count();
-        let mut cand = Vec::with_capacity(view.pattern.node_count());
-        for u in view.pattern.nodes() {
-            let mut set = BitSet::new(n);
-            for &v in result.node_set(u) {
-                set.insert(v.index());
-            }
-            cand.push(set);
-        }
-        let mut support = vec![vec![0u32; n]; ne];
-        for (ei, &(u, t)) in view.pattern.edges().iter().enumerate() {
-            let ct = &cand[t.index()];
-            for v in cand[u.index()].iter() {
-                support[ei][v] = view.out_adj[v]
-                    .iter()
-                    .filter(|w| ct.contains(w.index()))
-                    .count() as u32;
-            }
-        }
-        view.cand = cand;
-        view.support = support;
-        view.empty = false;
+        let n = g.node_count();
+        let cand = view
+            .pattern
+            .nodes()
+            .map(|u| {
+                let mut set = BitSet::new(n);
+                for &v in result.node_set(u) {
+                    set.insert(v.index());
+                }
+                set
+            })
+            .collect();
+        view.refine(g, cand);
         view
     }
 
@@ -135,65 +131,49 @@ impl IncrementalView {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Number of nodes of the maintained graph.
-    pub fn node_count(&self) -> usize {
-        self.out_adj.len()
+    /// Drops the relation: the view extension is ∅.
+    fn clear(&mut self) {
+        self.cand = Vec::new();
+        self.support = Vec::new();
+        self.empty = true;
     }
 
-    /// Full refinement from the cached base candidate sets.
-    fn recompute(&mut self) {
-        let n = self.node_count();
-        let np = self.pattern.node_count();
-        let ne = self.pattern.edge_count();
-        let mut cand = self.base.clone();
+    /// Refines `cand` — a superset of the maximum simulation relation over
+    /// `g` — down to that relation: counts every candidate's supports, then
+    /// drains the zero-support ones. The support initialisation shared by
+    /// [`new`](Self::new), [`from_result`](Self::from_result) and the
+    /// revival of an empty view.
+    fn refine(&mut self, g: &DataGraph, cand: Vec<BitSet>) {
         if cand.iter().any(BitSet::is_empty) {
-            self.empty = true;
-            self.cand = Vec::new();
-            self.support = Vec::new();
+            self.clear();
             return;
         }
-        let mut support = vec![vec![0u32; n]; ne];
+        let n = g.node_count();
+        let mut support = vec![vec![0u32; n]; self.pattern.edge_count()];
+        let mut scheduled = vec![BitSet::new(n); self.pattern.node_count()];
         let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
-        let mut scheduled = vec![BitSet::new(n); np];
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
-            let ct = cand[t.index()].clone();
             for v in cand[u.index()].iter() {
-                let cnt = self.out_adj[v]
-                    .iter()
-                    .filter(|w| ct.contains(w.index()))
-                    .count() as u32;
+                let cnt = support_in(g, v, &cand[t.index()]);
                 support[ei][v] = cnt;
                 if cnt == 0 && scheduled[u.index()].insert(v) {
                     worklist.push((u, NodeId(v as u32)));
                 }
             }
         }
-        let ok = Self::drain(
-            &self.pattern,
-            &self.in_adj,
-            &mut cand,
-            &mut support,
-            &mut scheduled,
-            worklist,
-        );
-        if ok {
-            self.cand = cand;
-            self.support = support;
-            self.empty = false;
-        } else {
-            self.cand = Vec::new();
-            self.support = Vec::new();
-            self.empty = true;
-        }
+        self.cand = cand;
+        self.support = support;
+        self.empty = false;
+        self.drain(g, &[], &mut scheduled, worklist);
     }
 
-    /// Shared removal-propagation loop; returns false if a candidate set
-    /// empties (view extension becomes ∅).
+    /// Shared removal-propagation loop over `g` minus the edges in
+    /// `deleted` (sorted). Returns false — leaving the view empty — if a
+    /// candidate set empties.
     fn drain(
-        pattern: &Pattern,
-        in_adj: &[Vec<NodeId>],
-        cand: &mut [BitSet],
-        support: &mut [Vec<u32>],
+        &mut self,
+        g: &DataGraph,
+        deleted: &[(NodeId, NodeId)],
         scheduled: &mut [BitSet],
         mut worklist: Vec<(PatternNodeId, NodeId)>,
     ) -> bool {
@@ -201,18 +181,20 @@ impl IncrementalView {
         while head < worklist.len() {
             let (u, v) = worklist[head];
             head += 1;
-            if !cand[u.index()].remove(v.index()) {
+            if !self.cand[u.index()].remove(v.index()) {
                 continue;
             }
-            if cand[u.index()].is_empty() {
+            if self.cand[u.index()].is_empty() {
+                self.clear();
                 return false;
             }
-            for &(u0, e0) in pattern.in_edges(u) {
-                for &w in &in_adj[v.index()] {
-                    if cand[u0.index()].contains(w.index())
+            for &(u0, e0) in self.pattern.in_edges(u) {
+                for &w in g.in_neighbors(v) {
+                    if self.cand[u0.index()].contains(w.index())
                         && !scheduled[u0.index()].contains(w.index())
+                        && deleted.binary_search(&(w, v)).is_err()
                     {
-                        let s = &mut support[e0.index()][w.index()];
+                        let s = &mut self.support[e0.index()][w.index()];
                         *s = s.saturating_sub(1);
                         if *s == 0 {
                             scheduled[u0.index()].insert(w.index());
@@ -225,70 +207,73 @@ impl IncrementalView {
         true
     }
 
-    /// Deletes edge `(a, b)` and incrementally repairs the view.
-    /// Returns `true` if the edge existed.
-    pub fn delete_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let Some(pos) = self.out_adj[a.index()].iter().position(|&x| x == b) else {
-            return false;
-        };
-        self.out_adj[a.index()].remove(pos);
-        let pos = self.in_adj[b.index()]
-            .iter()
-            .position(|&x| x == a)
-            .expect("in/out adjacency consistent");
-        self.in_adj[b.index()].remove(pos);
-
-        if self.empty {
-            return true; // Deletions cannot revive matches.
-        }
-
-        // Decrement supports for pattern edges whose endpoints currently
-        // admit (a, b); propagate zero-support removals.
-        let np = self.pattern.node_count();
-        let n = self.node_count();
-        let mut scheduled = vec![BitSet::new(n); np];
-        let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
-        for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
-            if self.cand[u.index()].contains(a.index()) && self.cand[t.index()].contains(b.index())
-            {
-                // Pair (a, b) leaves edge ei's match set: the result changed.
-                self.dirty = true;
-                let s = &mut self.support[ei][a.index()];
-                *s = s.saturating_sub(1);
-                if *s == 0 && scheduled[u.index()].insert(a.index()) {
-                    worklist.push((u, a));
+    /// Applies one [`EdgeDelta`] — `deletes` first, then `inserts` —
+    /// incrementally. `before` is the graph the view currently reflects and
+    /// `after` is `delta.apply_to(before)`; both are borrowed, never copied.
+    ///
+    /// * The deletes run as one batch: each deleted edge of `before` between
+    ///   current candidates decrements its source's support, and the drain
+    ///   walks `before`'s in-neighbours minus the deleted edges — exactly the
+    ///   post-delete graph, without building it.
+    /// * The inserts then revive over `after`: sources of inserted edges
+    ///   seed a backward closure of revival candidates, whose supports are
+    ///   counted locally before the drain prunes them. An insert counts
+    ///   only if the post-delete graph lacks it, so re-inserting a deleted
+    ///   edge and inserting a present edge are neither lost nor
+    ///   double-counted. A view that is empty at this point re-refines from
+    ///   its base sets over `after`.
+    ///
+    /// Endpoints must be `< before.node_count()`; the store boundary
+    /// validates untrusted deltas before calling this.
+    pub fn apply(&mut self, delta: &EdgeDelta, before: &DataGraph, after: &DataGraph) {
+        let mut deleted = delta.deletes.clone();
+        deleted.sort_unstable();
+        deleted.dedup();
+        if !self.empty && !deleted.is_empty() {
+            let n = before.node_count();
+            let mut scheduled = vec![BitSet::new(n); self.pattern.node_count()];
+            let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
+            for &(a, b) in deleted.iter().filter(|&&(a, b)| before.has_edge(a, b)) {
+                for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
+                    if self.cand[u.index()].contains(a.index())
+                        && self.cand[t.index()].contains(b.index())
+                    {
+                        // Pair (a, b) leaves edge ei's match set: the result
+                        // changed.
+                        self.dirty = true;
+                        let s = &mut self.support[ei][a.index()];
+                        *s = s.saturating_sub(1);
+                        if *s == 0 && scheduled[u.index()].insert(a.index()) {
+                            worklist.push((u, a));
+                        }
+                    }
                 }
             }
+            self.drain(before, &deleted, &mut scheduled, worklist);
         }
-        let ok = Self::drain(
-            &self.pattern,
-            &self.in_adj,
-            &mut self.cand,
-            &mut self.support,
-            &mut scheduled,
-            worklist,
-        );
-        if !ok {
-            self.cand = Vec::new();
-            self.support = Vec::new();
-            self.empty = true;
+
+        let mut added: Vec<(NodeId, NodeId)> = delta
+            .inserts
+            .iter()
+            .copied()
+            .filter(|&(a, b)| !before.has_edge(a, b) || deleted.binary_search(&(a, b)).is_ok())
+            .collect();
+        added.sort_unstable();
+        added.dedup();
+        if added.is_empty() {
+            return;
         }
-        true
+        if self.empty {
+            // No warm relation to extend — the view may revive wholesale.
+            self.refine(after, self.base.clone());
+            self.dirty |= !self.empty;
+        } else {
+            self.revive(&added, after);
+        }
     }
 
-    /// Inserts edge `(a, b)` and incrementally repairs the view (see
-    /// [`insert_batch`](Self::insert_batch)). Returns `true` if the edge
-    /// was new.
-    pub fn insert_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        if self.out_adj[a.index()].contains(&b) {
-            return false;
-        }
-        self.insert_batch(&[(a, b)]);
-        true
-    }
-
-    /// Inserts a batch of edges and incrementally revives exactly the
-    /// affected region.
+    /// Inserts `added` (edges of `after` absent from the post-delete graph)
+    /// into a non-empty view and revives exactly the affected region.
     ///
     /// Insertion is upward-monotone: the new maximum simulation relation is
     /// a superset of the current one, and every *newly* admitted node must
@@ -307,33 +292,14 @@ impl IncrementalView {
     ///    prunes revivals that don't pan out. Pre-existing members'
     ///    supports only ever grow, so the drain can only remove revival
     ///    candidates — the relation never shrinks below its old value.
-    pub fn insert_batch(&mut self, inserts: &[(NodeId, NodeId)]) {
-        let mut added: Vec<(NodeId, NodeId)> = Vec::with_capacity(inserts.len());
-        for &(a, b) in inserts {
-            if !self.out_adj[a.index()].contains(&b) {
-                self.out_adj[a.index()].push(b);
-                self.in_adj[b.index()].push(a);
-                added.push((a, b));
-            }
-        }
-        if added.is_empty() {
-            return;
-        }
-        if self.empty {
-            // No warm relation to extend — the view may revive wholesale.
-            self.recompute();
-            if !self.empty {
-                self.dirty = true;
-            }
-            return;
-        }
-        let n = self.node_count();
+    fn revive(&mut self, added: &[(NodeId, NodeId)], after: &DataGraph) {
+        let n = after.node_count();
         let np = self.pattern.node_count();
 
         // Seeds + direct support bumps.
         let mut revive = vec![BitSet::new(n); np];
         let mut queue: Vec<(PatternNodeId, NodeId)> = Vec::new();
-        for &(a, b) in &added {
+        for &(a, b) in added {
             for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
                 if !self.base[u.index()].contains(a.index())
                     || !self.base[t.index()].contains(b.index())
@@ -359,7 +325,7 @@ impl IncrementalView {
             let (t, x) = queue[head];
             head += 1;
             for &(u0, _) in self.pattern.in_edges(t) {
-                for &w in &self.in_adj[x.index()] {
+                for &w in after.in_neighbors(x) {
                     if self.base[u0.index()].contains(w.index())
                         && !self.cand[u0.index()].contains(w.index())
                         && revive[u0.index()].insert(w.index())
@@ -382,19 +348,14 @@ impl IncrementalView {
         let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
             for v in revive[u.index()].iter() {
-                let ct = &self.cand[t.index()];
-                let cnt = self.out_adj[v]
-                    .iter()
-                    .filter(|w| ct.contains(w.index()))
-                    .count() as u32;
+                let cnt = support_in(after, v, &self.cand[t.index()]);
                 self.support[ei][v] = cnt;
                 if cnt == 0 && scheduled[u.index()].insert(v) {
                     worklist.push((u, NodeId(v as u32)));
                 }
             }
             for x in revive[t.index()].iter() {
-                for w_idx in 0..self.in_adj[x].len() {
-                    let w = self.in_adj[x][w_idx];
+                for &w in after.in_neighbors(NodeId(x as u32)) {
                     if self.cand[u.index()].contains(w.index())
                         && !revive[u.index()].contains(w.index())
                     {
@@ -403,18 +364,7 @@ impl IncrementalView {
                 }
             }
         }
-        let ok = Self::drain(
-            &self.pattern,
-            &self.in_adj,
-            &mut self.cand,
-            &mut self.support,
-            &mut scheduled,
-            worklist,
-        );
-        if !ok {
-            self.cand = Vec::new();
-            self.support = Vec::new();
-            self.empty = true;
+        if !self.drain(after, &[], &mut scheduled, worklist) {
             self.dirty = true;
             return;
         }
@@ -432,53 +382,10 @@ impl IncrementalView {
         &self.pattern
     }
 
-    /// Applies a whole [`EdgeDelta`](crate::delta::EdgeDelta)-shaped batch —
-    /// `deletes` first, then `inserts` — incrementally: deletions propagate
-    /// per edge through the support counters, and the insertions revive
-    /// exactly the affected region in one [`insert_batch`](Self::insert_batch)
-    /// pass. Neither side ever recomputes from scratch while the view has a
-    /// live relation to extend.
-    ///
-    /// Endpoints must be `< node_count()`; the store boundary validates
-    /// untrusted deltas before calling this.
-    pub fn apply_batch(&mut self, deletes: &[(NodeId, NodeId)], inserts: &[(NodeId, NodeId)]) {
-        for &(a, b) in deletes {
-            self.delete_edge(a, b);
-        }
-        self.insert_batch(inserts);
-    }
-
-    /// Updates only the maintained adjacency mirror, leaving candidate and
-    /// support state untouched.
-    ///
-    /// This is the cheap path for views the affected-view detector proves
-    /// *unaffected* by a delta: no mutated endpoint can appear in any
-    /// candidate set, so supports and results are provably unchanged — but
-    /// the adjacency must keep mirroring the evolving graph for later
-    /// mutations to apply cleanly. Calling this with edges that *do* touch
-    /// candidates desynchronizes the view; use
-    /// [`apply_batch`](Self::apply_batch) for those.
-    pub fn patch_adjacency(&mut self, deletes: &[(NodeId, NodeId)], inserts: &[(NodeId, NodeId)]) {
-        for &(a, b) in deletes {
-            if let Some(pos) = self.out_adj[a.index()].iter().position(|&x| x == b) {
-                self.out_adj[a.index()].remove(pos);
-                let pos = self.in_adj[b.index()]
-                    .iter()
-                    .position(|&x| x == a)
-                    .expect("in/out adjacency consistent");
-                self.in_adj[b.index()].remove(pos);
-            }
-        }
-        for &(a, b) in inserts {
-            if !self.out_adj[a.index()].contains(&b) {
-                self.out_adj[a.index()].push(b);
-                self.in_adj[b.index()].push(a);
-            }
-        }
-    }
-
-    /// The current view extension `V(G)`.
-    pub fn result(&self) -> MatchResult {
+    /// The current view extension `V(g)`, where `g` is the graph the view
+    /// reflects: the one it was built over, or the `after` graph of its
+    /// last [`apply`](Self::apply).
+    pub fn result(&self, g: &DataGraph) -> MatchResult {
         if self.empty {
             return MatchResult::empty();
         }
@@ -487,9 +394,10 @@ impl IncrementalView {
             let (cu, ct) = (&self.cand[u.index()], &self.cand[t.index()]);
             let mut set = Vec::new();
             for v in cu.iter() {
-                for &w in &self.out_adj[v] {
+                let v = NodeId(v as u32);
+                for &w in g.out_neighbors(v) {
                     if ct.contains(w.index()) {
-                        set.push((NodeId(v as u32), w));
+                        set.push((v, w));
                     }
                 }
             }
@@ -524,6 +432,7 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Two disjoint chains a1→b1→c1 (nodes 0–2) and a2→b2→c2 (nodes 3–5).
     fn graph() -> DataGraph {
         let mut b = GraphBuilder::new();
         let a1 = b.add_node(["A"]);
@@ -539,30 +448,34 @@ mod tests {
         b.build()
     }
 
-    /// Rebuild a DataGraph from the view's current adjacency to use
-    /// `match_pattern` as the oracle.
-    fn oracle(g0: &DataGraph, deleted: &[(u32, u32)], inserted: &[(u32, u32)]) -> MatchResult {
-        let mut b = GraphBuilder::new();
-        for v in g0.nodes() {
-            let labels: Vec<&str> = g0.labels_of(v).iter().map(|&l| g0.label_name(l)).collect();
-            b.add_node(labels.iter().copied());
-        }
-        for (u, v) in g0.edges() {
-            if !deleted.contains(&(u.0, v.0)) {
-                b.add_edge(u, v);
-            }
-        }
-        for &(u, v) in inserted {
-            b.add_edge(NodeId(u), NodeId(v));
-        }
-        match_pattern(&pattern_abc(), &b.build())
+    fn edges(es: &[(u32, u32)]) -> Vec<(NodeId, NodeId)> {
+        es.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect()
+    }
+
+    /// Applies one delta to `view` over `g` and checks the result against
+    /// `match_pattern` on the post-delta graph, which it returns.
+    fn step(
+        view: &mut IncrementalView,
+        g: &DataGraph,
+        inserts: &[(u32, u32)],
+        deletes: &[(u32, u32)],
+    ) -> DataGraph {
+        let delta = EdgeDelta::new(edges(inserts), edges(deletes));
+        let after = delta.apply_to(g);
+        view.apply(&delta, g, &after);
+        assert_eq!(
+            view.result(&after),
+            match_pattern(view.pattern(), &after),
+            "after inserts {inserts:?}, deletes {deletes:?}"
+        );
+        after
     }
 
     #[test]
     fn initial_matches_oracle() {
         let g = graph();
         let view = IncrementalView::new(pattern_abc(), &g);
-        assert_eq!(view.result(), match_pattern(&pattern_abc(), &g));
+        assert_eq!(view.result(&g), match_pattern(&pattern_abc(), &g));
     }
 
     #[test]
@@ -570,10 +483,9 @@ mod tests {
         let g = graph();
         let mut view = IncrementalView::new(pattern_abc(), &g);
         // Deleting b1 -> c1 invalidates b1 (no C successor), then a1.
-        assert!(view.delete_edge(NodeId(1), NodeId(2)));
-        assert_eq!(view.result(), oracle(&g, &[(1, 2)], &[]));
-        let r = view.result();
-        assert!(!r.is_empty());
+        let g = step(&mut view, &g, &[], &[(1, 2)]);
+        assert!(view.take_dirty());
+        let r = view.result(&g);
         assert_eq!(r.node_set(PatternNodeId(0)), &[NodeId(3)], "only a2 left");
     }
 
@@ -581,21 +493,19 @@ mod tests {
     fn delete_to_empty() {
         let g = graph();
         let mut view = IncrementalView::new(pattern_abc(), &g);
-        view.delete_edge(NodeId(1), NodeId(2));
-        view.delete_edge(NodeId(4), NodeId(5));
-        assert!(view.result().is_empty());
-        assert_eq!(view.result(), oracle(&g, &[(1, 2), (4, 5)], &[]));
+        let g = step(&mut view, &g, &[], &[(1, 2), (4, 5)]);
+        assert!(view.result(&g).is_empty());
         // Further deletions on an empty view are safe no-ops.
-        assert!(view.delete_edge(NodeId(0), NodeId(1)));
-        assert!(view.result().is_empty());
+        step(&mut view, &g, &[], &[(0, 1)]);
     }
 
     #[test]
-    fn delete_missing_edge() {
+    fn delete_of_absent_edge_is_a_clean_no_op() {
         let g = graph();
         let mut view = IncrementalView::new(pattern_abc(), &g);
-        assert!(!view.delete_edge(NodeId(0), NodeId(5)));
-        assert_eq!(view.result(), match_pattern(&pattern_abc(), &g));
+        // a1 -> c2 is absent; a1 and c2 are both current candidates.
+        step(&mut view, &g, &[], &[(0, 5)]);
+        assert!(!view.take_dirty());
     }
 
     #[test]
@@ -603,101 +513,135 @@ mod tests {
         let g = graph();
         let mut view = IncrementalView::new(pattern_abc(), &g);
         // Cross edge a1 -> b2 adds a new (A,B) match.
-        assert!(view.insert_edge(NodeId(0), NodeId(4)));
-        assert_eq!(view.result(), oracle(&g, &[], &[(0, 4)]));
-        assert!(!view.insert_edge(NodeId(0), NodeId(4)), "duplicate");
+        step(&mut view, &g, &[(0, 4)], &[]);
+        assert!(view.take_dirty());
     }
 
     #[test]
-    fn insert_revives_empty_view() {
+    fn insert_of_present_edge_is_not_double_counted() {
         let g = graph();
         let mut view = IncrementalView::new(pattern_abc(), &g);
-        view.delete_edge(NodeId(1), NodeId(2));
-        view.delete_edge(NodeId(4), NodeId(5));
-        assert!(view.result().is_empty());
-        view.insert_edge(NodeId(1), NodeId(2));
-        assert_eq!(view.result(), oracle(&g, &[(4, 5)], &[]));
-        assert!(!view.result().is_empty());
+        let g = step(&mut view, &g, &[(1, 2)], &[]);
+        assert!(!view.take_dirty());
+        // Were b1's support for (B,C) counted twice, deleting the one
+        // b1 -> c1 edge would leave it at 1 and keep b1 and a1 alive.
+        step(&mut view, &g, &[], &[(1, 2)]);
+        assert!(view.take_dirty());
     }
 
     #[test]
-    fn apply_batch_matches_chained_single_edges() {
+    fn delete_and_reinsert_in_one_delta_keeps_the_edge() {
         let g = graph();
-        // Mixed batch: forces the patch-then-recompute path.
-        let deletes = [(NodeId(1), NodeId(2)), (NodeId(3), NodeId(4))];
-        let inserts = [(NodeId(0), NodeId(4)), (NodeId(1), NodeId(2))];
-        let mut batched = IncrementalView::new(pattern_abc(), &g);
-        batched.apply_batch(&deletes, &inserts);
-        assert_eq!(batched.result(), oracle(&g, &[(3, 4)], &[(0, 4)]));
-
-        // Delete-only batch: the truly-incremental path, same answer.
-        let mut inc = IncrementalView::new(pattern_abc(), &g);
-        inc.apply_batch(&[(NodeId(1), NodeId(2))], &[]);
-        assert_eq!(inc.result(), oracle(&g, &[(1, 2)], &[]));
+        let mut view = IncrementalView::new(pattern_abc(), &g);
+        // Deletes land first, so b1 -> c1 ends up present: the answer is
+        // unchanged, and the edge's support survives the round trip — a
+        // later delete of it must still cascade.
+        let g = step(&mut view, &g, &[(1, 2)], &[(1, 2)]);
+        assert_eq!(view.result(&g), match_pattern(&pattern_abc(), &graph()));
+        step(&mut view, &g, &[], &[(1, 2)]);
     }
 
     #[test]
-    fn patch_adjacency_is_sound_for_unaffected_edges() {
-        // Two extra D nodes: edges among them never intersect any base set
-        // of pattern_abc, so adjacency-only patching must leave the result
-        // untouched — and later *affecting* mutations must still be exact.
+    fn batch_delete_does_not_double_count_a_deleted_edge() {
+        // a1 -> {b1, b2}, b1 -> c1, b2 -> c2. Deleting a1 -> b1 and b1 -> c1
+        // together seeds a1's decrement once; when the drain then removes
+        // b1 it must skip the deleted a1 -> b1, or a1 (still matched via
+        // b2) would be decremented a second time and dropped.
         let mut b = GraphBuilder::new();
         let a1 = b.add_node(["A"]);
         let b1 = b.add_node(["B"]);
         let c1 = b.add_node(["C"]);
-        let d1 = b.add_node(["D"]);
-        let d2 = b.add_node(["D"]);
+        let b2 = b.add_node(["B"]);
+        let c2 = b.add_node(["C"]);
         b.add_edge(a1, b1);
+        b.add_edge(a1, b2);
         b.add_edge(b1, c1);
-        b.add_edge(d1, d2);
+        b.add_edge(b2, c2);
         let g = b.build();
         let mut view = IncrementalView::new(pattern_abc(), &g);
-        let before = view.result();
-        view.patch_adjacency(&[(d1, d2)], &[(d2, d1)]);
-        assert_eq!(view.result(), before, "D-only edges are invisible");
-        // An affecting delete afterwards still propagates correctly.
-        view.delete_edge(b1, c1);
-        assert!(view.result().is_empty());
+        let g = step(&mut view, &g, &[], &[(0, 1), (1, 2)]);
+        assert_eq!(view.result(&g).node_set(PatternNodeId(0)), &[a1]);
+    }
+
+    #[test]
+    fn repeated_edges_in_an_unnormalized_delta_count_once() {
+        let mut g = graph();
+        let mut view = IncrementalView::new(pattern_abc(), &g);
+        let b1c2 = (NodeId(1), NodeId(5));
+        // Public fields bypass `EdgeDelta::new`'s sort + dedup.
+        let steps = [
+            // b1 gains a second C successor, listed twice.
+            EdgeDelta {
+                inserts: vec![b1c2, b1c2],
+                deletes: vec![],
+            },
+            // b1 loses it again, listed twice: b1 -> c1 still holds b1.
+            EdgeDelta {
+                inserts: vec![],
+                deletes: vec![b1c2, b1c2],
+            },
+            // Now b1 loses its last C successor and must drop out.
+            EdgeDelta::new(vec![], vec![(NodeId(1), NodeId(2))]),
+        ];
+        for delta in steps {
+            let after = delta.apply_to(&g);
+            view.apply(&delta, &g, &after);
+            assert_eq!(
+                view.result(&after),
+                match_pattern(&pattern_abc(), &after),
+                "after {delta:?}"
+            );
+            g = after;
+        }
+    }
+
+    #[test]
+    fn one_delta_empties_and_another_revives() {
+        let g = graph();
+        let mut view = IncrementalView::new(pattern_abc(), &g);
+        let g = step(&mut view, &g, &[], &[(1, 2), (4, 5)]);
+        assert!(view.result(&g).is_empty());
+        assert!(view.take_dirty());
+        let g = step(&mut view, &g, &[(1, 2)], &[]);
+        assert!(!view.result(&g).is_empty());
+        assert!(view.take_dirty());
+    }
+
+    #[test]
+    fn one_delta_empties_and_revives_together() {
+        let g = graph();
+        let mut view = IncrementalView::new(pattern_abc(), &g);
+        // Both B→C edges go, and a new b2 -> c1 comes: the deletes empty
+        // the view and the insert re-refines it over the post-delta graph.
+        step(&mut view, &g, &[(4, 2)], &[(1, 2), (4, 5)]);
+        assert!(view.take_dirty());
+    }
+
+    #[test]
+    fn mixed_batch_matches_oracle() {
+        let g = graph();
+        let mut view = IncrementalView::new(pattern_abc(), &g);
+        step(&mut view, &g, &[(0, 4), (1, 2)], &[(1, 2), (3, 4)]);
     }
 
     #[test]
     fn interleaved_sequence_matches_oracle() {
-        let g = graph();
+        let mut g = graph();
         let mut view = IncrementalView::new(pattern_abc(), &g);
-        let ops: &[(&str, u32, u32)] = &[
-            ("del", 0, 1),
-            ("ins", 0, 4),
-            ("del", 3, 4),
-            ("ins", 3, 1),
-            ("del", 1, 2),
-            ("ins", 1, 2),
+        let ops: &[(bool, u32, u32)] = &[
+            (false, 0, 1),
+            (true, 0, 4),
+            (false, 3, 4),
+            (true, 3, 1),
+            (false, 1, 2),
+            (true, 1, 2),
         ];
-        let mut deleted: Vec<(u32, u32)> = Vec::new();
-        let mut inserted: Vec<(u32, u32)> = Vec::new();
-        for &(op, a, b) in ops {
-            match op {
-                "del" => {
-                    view.delete_edge(NodeId(a), NodeId(b));
-                    if let Some(p) = inserted.iter().position(|&e| e == (a, b)) {
-                        inserted.remove(p);
-                    } else {
-                        deleted.push((a, b));
-                    }
-                }
-                _ => {
-                    view.insert_edge(NodeId(a), NodeId(b));
-                    if let Some(p) = deleted.iter().position(|&e| e == (a, b)) {
-                        deleted.remove(p);
-                    } else {
-                        inserted.push((a, b));
-                    }
-                }
-            }
-            assert_eq!(
-                view.result(),
-                oracle(&g, &deleted, &inserted),
-                "after {op} ({a},{b})"
-            );
+        for &(insert, a, b) in ops {
+            g = if insert {
+                step(&mut view, &g, &[(a, b)], &[])
+            } else {
+                step(&mut view, &g, &[], &[(a, b)])
+            };
         }
     }
 }

@@ -1226,7 +1226,7 @@ impl ViewService {
         let mut check_graph = |g: &DataGraph| -> Result<(), ServiceError> {
             graph_check
                 .get_or_insert_with(|| {
-                    let actual = crate::storage::graph_fingerprint(g);
+                    let actual = crate::shard::graph_fingerprint(g);
                     let expected = self.store.graph_fingerprint();
                     if actual == expected {
                         Ok(())

@@ -39,8 +39,21 @@
 use crate::compact::CompactView;
 use crate::view::ViewDef;
 use gpv_graph::stats::GraphStats;
-use gpv_graph::NodeId;
+use gpv_graph::{DataGraph, NodeId};
 use serde::{Deserialize, Serialize};
+
+/// A cheap structural fingerprint of a graph: node/edge counts plus a
+/// FNV-1a hash over the edge list. Not cryptographic — just enough to catch
+/// "these views belong to a different graph".
+pub fn graph_fingerprint(g: &DataGraph) -> u64 {
+    let mut h = crate::fnv::Fnv1a::new();
+    h.write_u64_coarse(g.node_count() as u64);
+    h.write_u64_coarse(g.edge_count() as u64);
+    for (u, v) in g.edges() {
+        h.write_u64_coarse(((u.0 as u64) << 32) | v.0 as u64);
+    }
+    h.finish()
+}
 
 /// Magic bytes opening every shard file.
 pub const SHARD_MAGIC: [u8; 8] = *b"GPVSHARD";
@@ -352,8 +365,29 @@ pub fn decode_shard(bytes: &[u8]) -> Result<ShardContents, ShardError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpv_graph::GraphBuilder;
     use gpv_matching::result::MatchResult;
     use gpv_pattern::PatternBuilder;
+
+    #[test]
+    fn fingerprint_sensitive_to_edges() {
+        let chain = |reverse_second: bool| {
+            let mut b = GraphBuilder::new();
+            let a = b.add_node(["A"]);
+            let c = b.add_node(["B"]);
+            let d = b.add_node(["C"]);
+            b.add_edge(a, c);
+            if reverse_second {
+                b.add_edge(d, c);
+            } else {
+                b.add_edge(c, d);
+            }
+            b.build()
+        };
+        let g = chain(false);
+        assert_eq!(graph_fingerprint(&g), graph_fingerprint(&chain(false)));
+        assert_ne!(graph_fingerprint(&g), graph_fingerprint(&chain(true)));
+    }
 
     fn view(name: &str, x: &str, y: &str) -> ViewDef {
         let mut b = PatternBuilder::new();

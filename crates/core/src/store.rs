@@ -1,11 +1,12 @@
 //! Sharded, concurrently-writable view storage.
 //!
-//! [`crate::storage::ViewCache`] is a monolithic snapshot: one blob of view
-//! definitions plus extensions, cloned and replaced wholesale. That is fine
-//! for a single-threaded CLI run but not for a serving process where many
-//! threads read views while others register or retire them. [`ViewStore`]
-//! is the concurrent representation: views live in `N` independent shards,
-//! each behind its own [`RwLock`], chosen by a hash of the view's stable id.
+//! A [`ViewSet`] with its [`ViewExtensions`] is a monolithic snapshot: one
+//! blob of view definitions plus extensions, cloned and replaced wholesale.
+//! That is fine for a single-threaded CLI run but not for a serving process
+//! where many threads read views while others register or retire them.
+//! [`ViewStore`] is the concurrent representation: views live in `N`
+//! independent shards, each behind its own [`RwLock`], chosen by a hash of
+//! the view's stable id.
 //!
 //! Concurrency contract (MVCC):
 //!
@@ -45,8 +46,9 @@
 use crate::compact::CompactView;
 use crate::delta::{EdgeDelta, ViewFootprintIndex};
 use crate::maintenance::IncrementalView;
-use crate::shard::{decode_shard, encode_shard, ShardError, StoreMeta, SHARD_VERSION};
-use crate::storage::{graph_fingerprint, ViewCache};
+use crate::shard::{
+    decode_shard, encode_shard, graph_fingerprint, ShardError, StoreMeta, SHARD_VERSION,
+};
 use crate::view::{ViewDef, ViewExtensions, ViewSet};
 use gpv_graph::stats::GraphStats;
 use gpv_graph::{DataGraph, NodeId};
@@ -172,8 +174,8 @@ pub struct EvictionAdvice {
 /// A sharded, concurrently-writable registry of materialized views.
 ///
 /// See the [module docs](self) for the locking contract. Build one with
-/// [`ViewStore::materialize`] (or [`ViewStore::from_cache`] for a loaded
-/// [`ViewCache`]), then hand it to a
+/// [`ViewStore::materialize`] (or [`ViewStore::load_from_dir`] for a saved
+/// store), then hand it to a
 /// [`ViewService`](crate::service::ViewService) — or use
 /// [`ViewStore::snapshot`] directly:
 ///
@@ -230,9 +232,9 @@ pub struct ViewStore {
 #[derive(Debug, Default)]
 struct WriterState {
     /// Warm maintainers, promoted lazily the first time a delta affects a
-    /// view. Invariant: every warm maintainer's adjacency mirrors the
-    /// store's *current* graph — unaffected views get adjacency-only
-    /// patches on every delta.
+    /// view. They hold no copy of the graph: each delta lends them the
+    /// store's pre- and post-delta graphs, and a delta that leaves a view
+    /// unaffected leaves its relation and supports exact as they are.
     warm: HashMap<u64, IncrementalView>,
 }
 
@@ -290,38 +292,6 @@ impl ViewStore {
         }
         store.publish();
         store
-    }
-
-    /// Shards a monolithic [`ViewCache`] (ids are assigned in cache order,
-    /// so [`Self::to_cache`] round-trips). The cache's extensions are
-    /// `Arc`-shared into the store, not copied.
-    pub fn from_cache(cache: ViewCache, shards: usize) -> Self {
-        let store =
-            Self::with_fingerprint(cache.graph_fingerprint, cache.graph_stats.clone(), shards);
-        for (def, ext) in cache
-            .views
-            .views()
-            .iter()
-            .cloned()
-            .zip(cache.extensions.extensions)
-        {
-            store.insert_raw(def, ext);
-        }
-        store.publish();
-        store
-    }
-
-    /// Collapses the store back into a monolithic, durable [`ViewCache`]
-    /// (views in id order). The extensions stay `Arc`-shared with the
-    /// store; only the definitions are cloned.
-    pub fn to_cache(&self) -> ViewCache {
-        let snap = self.snapshot();
-        ViewCache {
-            graph_fingerprint: self.graph_fingerprint(),
-            graph_stats: self.graph_stats.clone(),
-            views: (*snap.view_set()).clone(),
-            extensions: (*snap.extensions()).clone(),
-        }
     }
 
     /// Number of shards.
@@ -399,7 +369,7 @@ impl ViewStore {
     }
 
     /// Shard insertion without publication: the bulk-load path
-    /// (`materialize`, `from_cache`, `load_from_dir`) registers every view
+    /// (`materialize`, `load_from_dir`) registers every view
     /// first and publishes one snapshot at the end, keeping construction
     /// O(n) instead of O(n²). The new view's epoch is the post-insert
     /// version.
@@ -639,13 +609,13 @@ impl ViewStore {
     ///
     /// 1. validate delta endpoints against the node set;
     /// 2. detect affected views via the [`ViewFootprintIndex`];
-    /// 3. patch the adjacency mirror of every *unaffected* warm maintainer
-    ///    (their results provably cannot change — see [`crate::delta`]);
-    /// 4. route each affected view through its warm [`IncrementalView`]
-    ///    (promoting a cold one directly from the post-delta graph),
-    ///    re-freezing only extensions whose content actually changed and
-    ///    stamping those with the new version as their epoch;
-    /// 5. bump the version, move the graph fingerprint and
+    /// 3. route each affected view through its warm [`IncrementalView`]
+    ///    (promoting a cold one from its stored pre-delta extension), which
+    ///    reads the pre- and post-delta graphs; re-freeze only extensions
+    ///    whose content actually changed and stamp those with the new
+    ///    version as their epoch. Unaffected views are not touched: their
+    ///    results provably cannot change (see [`crate::delta`]);
+    /// 4. bump the version, move the graph fingerprint and
     ///    [`graph_epoch`](Self::graph_epoch), and publish one new snapshot.
     ///
     /// In-flight readers keep serving the previous snapshot throughout.
@@ -678,14 +648,6 @@ impl ViewStore {
         let affected = index.affected(delta, current);
         let affected_set: HashSet<u64> = affected.iter().copied().collect();
 
-        // Unaffected warm maintainers still track the evolving edge set —
-        // adjacency-only, no candidate/support work.
-        for (id, m) in writer.warm.iter_mut() {
-            if !affected_set.contains(id) {
-                m.patch_adjacency(&delta.deletes, &delta.inserts);
-            }
-        }
-
         let new_version = self.version.load(Ordering::Acquire) + 1;
         let mut changed = Vec::new();
         for v in resident.iter().filter(|v| affected_set.contains(&v.id)) {
@@ -695,13 +657,13 @@ impl ViewStore {
             let m = writer.warm.entry(v.id).or_insert_with(|| {
                 IncrementalView::from_result(v.def.pattern.clone(), current, &v.ext.thaw())
             });
-            m.apply_batch(&delta.deletes, &delta.inserts);
+            m.apply(delta, current, &next);
             if !m.take_dirty() {
                 // The maintainer proved its extension unchanged: skip the
                 // result extraction and re-freeze outright.
                 continue;
             }
-            let ext = CompactView::freeze(&m.result());
+            let ext = CompactView::freeze(&m.result(&next));
             if ext.content_eq(&v.ext) {
                 continue; // identical result: keep the old arena Arc + epoch
             }
@@ -917,10 +879,6 @@ mod tests {
         assert!(store.get(id).is_some());
         assert_eq!(store.snapshot().ids().len(), 3);
 
-        let from_cache = ViewStore::from_cache(ViewCache::build(two_views(), &g), 0);
-        assert_eq!(from_cache.shard_count(), 1);
-        assert_eq!(from_cache.len(), 2);
-
         let empty = ViewStore::for_graph(&g, 0);
         assert_eq!(empty.shard_count(), 1);
         assert!(empty.is_empty());
@@ -939,17 +897,6 @@ mod tests {
             store.insert(ViewDef::new("v", single("X", "Y")), &other),
             Err(StoreError::GraphMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn cache_roundtrip() {
-        let g = graph();
-        let cache = ViewCache::build(two_views(), &g);
-        let store = ViewStore::from_cache(cache.clone(), 4);
-        let back = store.to_cache();
-        assert_eq!(back.graph_fingerprint, cache.graph_fingerprint);
-        assert_eq!(back.views, cache.views);
-        assert_eq!(back.extensions, cache.extensions);
     }
 
     #[test]
@@ -1165,6 +1112,54 @@ mod tests {
         store
             .insert(ViewDef::new("vbc", single("B", "C")), &report.graph)
             .unwrap();
+    }
+
+    #[test]
+    fn warm_maintainer_skipped_by_one_delta_is_exact_after_the_next() {
+        // a -> x -> c and d1 -> d2, plus a second A node a2.
+        let mut b = GraphBuilder::new();
+        let a = b.add_node(["A"]);
+        let x = b.add_node(["B"]);
+        let c = b.add_node(["C"]);
+        let d1 = b.add_node(["D"]);
+        let d2 = b.add_node(["D"]);
+        let a2 = b.add_node(["A"]);
+        b.add_edge(a, x);
+        b.add_edge(x, c);
+        b.add_edge(d1, d2);
+        let g = b.build();
+        let views = ViewSet::new(vec![
+            ViewDef::new("vab", single("A", "B")),
+            ViewDef::new("vdd", single("D", "D")),
+        ]);
+        let store = ViewStore::materialize(views, &g, 2);
+        let oracle_holds = |graph: &DataGraph| {
+            let snap = store.snapshot();
+            for v in snap.views() {
+                let want = CompactView::freeze(&match_pattern(&v.def.pattern, graph));
+                assert!(v.ext.content_eq(&want), "{} diverged", v.def.name);
+            }
+        };
+
+        // Delta 1 warms vab's maintainer.
+        let d = EdgeDelta::new(vec![(a2, x)], vec![]);
+        let r1 = store.apply_delta(&d, &g).unwrap();
+        assert_eq!(r1.affected, vec![0]);
+        oracle_holds(&r1.graph);
+        // Delta 2 rewires only the D edges: vab is unaffected and its
+        // maintainer is not touched, though the graph moves under it.
+        let d = EdgeDelta::new(vec![(d2, d1)], vec![(d1, d2)]);
+        let r2 = store.apply_delta(&d, &r1.graph).unwrap();
+        assert_eq!(r2.affected, vec![1]);
+        oracle_holds(&r2.graph);
+        // Delta 3 affects vab again; its maintainer reads delta 2's graph.
+        let d = EdgeDelta::new(vec![], vec![(a, x)]);
+        let r3 = store.apply_delta(&d, &r2.graph).unwrap();
+        assert_eq!(
+            (r3.affected.clone(), r3.changed.clone()),
+            (vec![0], vec![0])
+        );
+        oracle_holds(&r3.graph);
     }
 
     #[test]

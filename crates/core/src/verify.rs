@@ -910,7 +910,7 @@ pub fn check_snapshot(snap: &StoreSnapshot, g: Option<&DataGraph>) -> Vec<Diagno
         check_compact_view(&v.ext, &format!("view id {}", v.id), &mut out);
     }
     if let Some(g) = g {
-        let actual = crate::storage::graph_fingerprint(g);
+        let actual = crate::shard::graph_fingerprint(g);
         if actual != snap.graph_fingerprint {
             out.push(Diagnostic::new(
                 DiagCode::StoreGraphMismatch,

@@ -557,7 +557,7 @@ fn serve(a: &Args) -> Result<(), String> {
     let store = match &a.store_dir {
         Some(dir) if std::path::Path::new(dir).join("meta.json").exists() => {
             let loaded = core::ViewStore::load_from_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
-            if loaded.graph_fingerprint() != core::storage::graph_fingerprint(&g) {
+            if loaded.graph_fingerprint() != core::shard::graph_fingerprint(&g) {
                 return Err(format!(
                     "{dir}: store was built from a different graph (fingerprint mismatch)"
                 ));

@@ -5,7 +5,7 @@
 
 use gpv_generator::{random_graph, random_pattern, PatternShape, Scenario};
 use graph_views::prelude::*;
-use graph_views::views::IncrementalView;
+use graph_views::views::{EdgeDelta, IncrementalView};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["A", "B", "C"];
@@ -45,26 +45,31 @@ proptest! {
         let q = random_pattern(3, 3, &LABELS, PatternShape::Any, qseed);
         let mut inc = IncrementalView::new(q.clone(), &g);
 
-        // Normalize the script: drop self-referential no-ops that the
-        // builder would dedup anyway (self-loops are fine).
+        // Each step is a one-edge delta from the previous graph to the next.
+        let mut before = g.clone();
         let mut applied: Vec<(bool, u32, u32)> = Vec::new();
         for (insert, a, b) in raw_script {
-            if insert {
-                inc.insert_edge(NodeId(a), NodeId(b));
+            let edge = vec![(NodeId(a), NodeId(b))];
+            let delta = if insert {
+                EdgeDelta::new(edge, vec![])
             } else {
-                inc.delete_edge(NodeId(a), NodeId(b));
-            }
+                EdgeDelta::new(vec![], edge)
+            };
+            let after = delta.apply_to(&before);
+            inc.apply(&delta, &before, &after);
             applied.push((insert, a, b));
             // Check after *every* step, not just at the end, so ordering
-            // bugs can't cancel out.
+            // bugs can't cancel out. The oracle graph is rebuilt from the
+            // script, independently of `EdgeDelta::apply_to`.
             let oracle_graph = apply_script(&g, &applied);
             let expect = match_pattern(&q, &oracle_graph);
             prop_assert_eq!(
-                inc.result(),
+                inc.result(&after),
                 expect,
                 "divergence after {} ops",
                 applied.len()
             );
+            before = after;
         }
     }
 
@@ -75,14 +80,15 @@ proptest! {
         let q = random_pattern(2, 2, &LABELS, PatternShape::Any, qseed);
         let mut inc = IncrementalView::new(q.clone(), &g);
         let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
-        for &(u, v) in &edges {
-            inc.delete_edge(u, v);
-        }
-        prop_assert!(inc.result().is_empty() || q.edge_count() == 0);
-        for &(u, v) in &edges {
-            inc.insert_edge(u, v);
-        }
-        prop_assert_eq!(inc.result(), match_pattern(&q, &g));
+        let teardown = EdgeDelta::new(vec![], edges.clone());
+        let bare = teardown.apply_to(&g);
+        inc.apply(&teardown, &g, &bare);
+        prop_assert!(inc.result(&bare).is_empty() || q.edge_count() == 0);
+        prop_assert_eq!(inc.result(&bare), match_pattern(&q, &bare));
+        let rebuild = EdgeDelta::new(edges, vec![]);
+        let rebuilt = rebuild.apply_to(&bare);
+        inc.apply(&rebuild, &bare, &rebuilt);
+        prop_assert_eq!(inc.result(&rebuilt), match_pattern(&q, &g));
     }
 
     /// Scenario-sampled maintenance sweep: sample a full [`Scenario`]
@@ -124,25 +130,26 @@ proptest! {
             .collect();
         let mut edges: std::collections::BTreeSet<(NodeId, NodeId)> =
             inputs.graph.edges().collect();
+        let mut current = inputs.graph.clone();
         for (round, delta) in inputs.deltas.iter().enumerate() {
+            // Each delta is one batch, exactly as the store applies it.
+            let next = delta.apply_to(&current);
+            for (_, inc) in &mut incs {
+                inc.apply(delta, &current, &next);
+            }
+            // The truth graph is rebuilt independently of `apply_to`, with
             // EdgeDelta semantics: deletes land before inserts.
             for &(u, v) in &delta.deletes {
                 edges.remove(&(u, v));
-                for (_, inc) in &mut incs {
-                    inc.delete_edge(u, v);
-                }
             }
             for &(u, v) in &delta.inserts {
                 edges.insert((u, v));
-                for (_, inc) in &mut incs {
-                    inc.insert_edge(u, v);
-                }
             }
             let edge_list: Vec<(NodeId, NodeId)> = edges.iter().copied().collect();
             let truth_graph = inputs.graph.with_edges(&edge_list);
             for (vi, (q, inc)) in incs.iter().enumerate() {
                 let want = oracle(q, &truth_graph);
-                if inc.result() != want {
+                if inc.result(&next) != want {
                     return Err(TestCaseError::fail(format!(
                         "view {vi} diverged from the oracle after delta round {round}\n\
                          scenario: {}\nrepro: {}",
@@ -151,6 +158,7 @@ proptest! {
                     )));
                 }
             }
+            current = next;
         }
     }
 }

@@ -298,25 +298,6 @@ proptest! {
             );
         }
     }
-
-    /// Serving through a store round-tripped to/from the durable cache
-    /// changes nothing.
-    #[test]
-    fn cache_roundtripped_store_serves_identically(
-        (n, m, gseed) in (5usize..40, 10usize..100, any::<u64>()),
-        qseed in any::<u64>(),
-        vseed in any::<u64>(),
-    ) {
-        let g = random_graph(n, m, &LABELS, gseed);
-        let q = random_pattern(3, 4, &LABELS, PatternShape::Any, qseed);
-        let views = covering_views(std::slice::from_ref(&q), 2, vseed);
-        let direct = build_service(views.clone(), &g, 4);
-        let store = ViewStore::materialize(views, &g, 4);
-        let revived = ViewService::new(Arc::new(ViewStore::from_cache(store.to_cache(), 2)));
-        let a = direct.serve(&q, Some(&g)).unwrap();
-        let b = revived.serve(&q, Some(&g)).unwrap();
-        prop_assert_eq!(a.result, b.result);
-    }
 }
 
 /// The zero-copy rebuild contract: after a single-view insert, the rebuilt
