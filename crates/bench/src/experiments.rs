@@ -1143,7 +1143,7 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
 }
 
 /// Service bench: concurrent batch serving through the
-/// [`ViewService`](gpv_core::service::ViewService) facade over a sharded
+/// [`ViewService`](gpv_core::service::ViewService) facade over a
 /// [`ViewStore`](gpv_core::store::ViewStore). For each client count
 /// (1/2/4/8), every client thread submits the same duplicated query batch
 /// **twice** (two separate batches — the repeat is what exercises the

@@ -312,12 +312,6 @@ impl CompactExtensions {
         self.extensions.push(Arc::new(CompactView::freeze(&ext)));
     }
 
-    /// Appends an already-frozen, already-shared region without copying it
-    /// (the zero-copy path used when assembling from a store snapshot).
-    pub fn push_shared(&mut self, ext: Arc<CompactView>) {
-        self.extensions.push(ext);
-    }
-
     /// The match set `S_eV` of edge `eV` of view `i` (empty slice when the
     /// extension is empty): an offset lookup into view `i`'s arena region.
     pub fn edge_set(&self, view: usize, e: PatternEdgeId) -> &[(NodeId, NodeId)] {

@@ -242,14 +242,13 @@ fn verify_store_state(
     if !errors.is_empty() {
         return Err(verify_divergence("verify.store", round, 0, &errors));
     }
-    let views = snap.view_set();
     let engine = QueryEngine::from_snapshot(&snap).with_config(case.engine.clone());
     for (qi, q) in case.queries.iter().enumerate() {
         let plan = engine.plan(q);
         verify_one_plan(
             q,
             &plan,
-            &views,
+            snap.view_set(),
             current,
             Some(&snap),
             "verify.plan_epochs",

@@ -30,8 +30,8 @@
 //!
 //! On top of the algorithms sit the scale-out layers grown beyond the
 //! paper: [`engine`] (the planner: Analyze → Select → Execute over an
-//! explicit [`plan`] IR costed by [`cost`]), [`store`] (the sharded,
-//! concurrently-writable [`ViewStore`]), and [`service`] (the concurrent
+//! explicit [`plan`] IR costed by [`cost`]), [`store`] (the MVCC,
+//! concurrently-writable [`ViewStore`], the one view registry), and [`service`] (the concurrent
 //! [`ViewService`] batch facade with plan caching and service stats).
 
 #![forbid(unsafe_code)]
@@ -85,10 +85,7 @@ pub use minimal::{minimal, Selection};
 pub use minimize::{minimize, Minimized};
 pub use minimum::{alpha, minimum};
 pub use parallel::par_match_join;
-pub use partial::{
-    answer_with_partial_views, hybrid_match_join, partial_contain, sources_from_partial,
-    PartialPlan,
-};
+pub use partial::{hybrid_match_join, partial_contain, sources_from_partial, PartialPlan};
 pub use plan::{
     CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
 };

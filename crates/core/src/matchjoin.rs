@@ -462,24 +462,27 @@ pub(crate) fn build_candidates(
     Some(cand)
 }
 
-/// Initial support counters for one pattern edge `e = (u, t)`: for each
-/// candidate `v` of `u`, how many of `v`'s CSR successors are candidates of
-/// `t`. Returns the counter vector plus the zero-support seeds (candidates
-/// of `u` with no witness). Pure per-edge data.
+/// Initial support counters for one pattern edge over one CSR direction:
+/// for each candidate `v` in `cand_from`, how many of `v`'s neighbours in
+/// `adj` are in `cand_to`. Over [`EdgeCsr::fwd`] with `(cand_u, cand_t)`
+/// for `e = (u, t)` that is the forward (successor) support `MatchJoin`
+/// drains; over [`EdgeCsr::rev`] with `(cand_t, cand_u)` it is the backward
+/// (predecessor) support dual simulation adds. Returns the counter vector
+/// plus the zero-support seeds. Pure per-edge data.
 pub(crate) fn edge_support(
-    csr: &EdgeCsr,
-    cand_u: &gpv_graph::BitSet,
-    cand_t: &gpv_graph::BitSet,
+    adj: &(Vec<u32>, Vec<u32>),
+    cand_from: &gpv_graph::BitSet,
+    cand_to: &gpv_graph::BitSet,
     m: usize,
 ) -> (Vec<u32>, Vec<u32>) {
-    let (fo, ft) = &csr.fwd;
+    let (off, nbrs) = adj;
     let mut support = vec![0u32; m];
     let mut seeds = Vec::new();
-    for v in cand_u.iter() {
-        let (a, b) = (fo[v] as usize, fo[v + 1] as usize);
-        let cnt = ft[a..b]
+    for v in cand_from.iter() {
+        let (a, b) = (off[v] as usize, off[v + 1] as usize);
+        let cnt = nbrs[a..b]
             .iter()
-            .filter(|&&t2| cand_t.contains(t2 as usize))
+            .filter(|&&w| cand_to.contains(w as usize))
             .count() as u32;
         support[v] = cnt;
         if cnt == 0 {

@@ -461,7 +461,7 @@ pub(crate) fn supports(
         let (u, t) = q.edge(PatternEdgeId(ei as u32));
         let (cand_u, cand_t) = (&cand[u.index()], &cand[t.index()]);
         if ranged[ei] == 1 {
-            return matchjoin::edge_support(&csrs[ei], cand_u, cand_t, m);
+            return matchjoin::edge_support(&csrs[ei].fwd, cand_u, cand_t, m);
         }
         let (fo, ft) = &csrs[ei].fwd;
         let mut sup = vec![0u32; hi - lo];
@@ -643,7 +643,7 @@ mod tests {
             .collect();
         let cand = matchjoin::build_candidates(&q, &csrs, m).expect("nonempty");
         let (u, t) = q.edge(PatternEdgeId(0));
-        let baseline = matchjoin::edge_support(&csrs[0], &cand[u.index()], &cand[t.index()], m);
+        let baseline = matchjoin::edge_support(&csrs[0].fwd, &cand[u.index()], &cand[t.index()], m);
         for range in [1usize, 2, 7, 64, 1000] {
             let units = chunk_units(&sets, range, 4);
             let ranged = supports(&q, &csrs, &cand, m, &units, 4, range).unwrap();

@@ -17,7 +17,7 @@
 use std::borrow::Cow;
 
 use crate::containment::{ContainmentPlan, ViewEdgeRef};
-use crate::matchjoin::{match_join_with, JoinError, JoinStats, JoinStrategy, MergedSets};
+use crate::matchjoin::{JoinError, JoinStats, MergedSets};
 use crate::plan::EdgeSource;
 use crate::view::{ViewExtensions, ViewSet};
 use gpv_graph::{DataGraph, NodeId};
@@ -212,21 +212,6 @@ pub fn hybrid_match_join(
     )
 }
 
-/// Convenience: full pipeline — maximal coverage, then hybrid evaluation.
-pub fn answer_with_partial_views(
-    q: &Pattern,
-    views: &ViewSet,
-    ext: &ViewExtensions,
-    g: &DataGraph,
-) -> Result<MatchResult, JoinError> {
-    let partial = partial_contain(q, views);
-    if partial.is_total() {
-        let plan = partial.clone().into_plan().expect("total");
-        return match_join_with(q, &plan, ext, JoinStrategy::RankedBottomUp).map(|(r, _)| r);
-    }
-    hybrid_match_join(q, &partial, ext, g).map(|(r, _)| r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +287,10 @@ mod tests {
         let ext = materialize(&views, &g);
         let p = partial_contain(&q, &views);
         assert!(p.is_total());
-        let r = answer_with_partial_views(&q, &views, &ext, &g).unwrap();
+        // Total coverage: every edge reads a view, none scans G.
+        let sources = sources_from_partial(&p, &ext).unwrap();
+        assert!(sources.iter().all(|s| matches!(s, EdgeSource::View(_))));
+        let (r, _) = hybrid_match_join(&q, &p, &ext, &g).unwrap();
         assert_eq!(r, match_pattern(&q, &g));
     }
 

@@ -33,13 +33,13 @@
 //! * **deduplicates identical queries inside a batch**, executing each
 //!   distinct query once and fanning the result out;
 //! * executes against a lock-free
-//!   [`StoreSnapshot`] of the sharded
+//!   [`StoreSnapshot`] of the
 //!   [`ViewStore`], rebuilding its internal [`QueryEngine`] only when the
 //!   store version moves or a recalibration
 //!   ([`ServiceConfig::recalibrate_every`]) changes the cost model — a
-//!   rebuild shares the snapshot's extensions by `Arc`
-//!   ([`QueryEngine::from_snapshot`]), so it costs O(card(V)) handle
-//!   clones, never a deep copy of the materialized pairs;
+//!   rebuild keeps the snapshot's `Arc`
+//!   ([`QueryEngine::from_snapshot`]), so it costs O(1), never a deep copy
+//!   of the materialized pairs;
 //! * keeps service-level statistics: plan- and result-cache hit rates,
 //!   per-shard occupancy, in-flight queue depth, a log₂ latency histogram,
 //!   and the calibration state (active weights, sample count, drift).
@@ -483,20 +483,24 @@ struct Counters {
     latency: [AtomicU64; LATENCY_BUCKETS],
 }
 
-/// The engine snapshot the service executes against, tagged with the store
-/// version and the calibration epoch it was built from. Carries the MVCC
-/// [`StoreSnapshot`] it was built over so cache probes can price an
-/// answer's epoch-set stamp without re-touching the store.
+/// The engine the service executes against, tagged with the calibration
+/// epoch it was built under. The engine's own [`StoreSnapshot`] supplies
+/// the store version, the view-set fingerprint and the epochs cache probes
+/// price an answer's stamp against, without re-touching the store.
 #[derive(Clone, Debug)]
 struct EngineSnapshot {
-    version: u64,
     calib_epoch: u64,
-    view_fingerprint: u64,
-    store: Arc<StoreSnapshot>,
     engine: Arc<QueryEngine>,
 }
 
-/// A concurrent, batch-oriented query-serving facade over a sharded
+impl EngineSnapshot {
+    /// The registry snapshot the engine plans against.
+    fn store(&self) -> &StoreSnapshot {
+        self.engine.snapshot()
+    }
+}
+
+/// A concurrent, batch-oriented query-serving facade over a
 /// [`ViewStore`]. Shared by reference across client threads (`&self`
 /// everywhere); see the [module docs](self) for the full contract.
 #[derive(Debug)]
@@ -779,7 +783,7 @@ impl ViewService {
     fn engine(&self) -> EngineSnapshot {
         let version = self.store.version();
         let epoch = self.calib_epoch.load(Ordering::Relaxed);
-        let valid = |s: &&EngineSnapshot| s.version == version && s.calib_epoch == epoch;
+        let valid = |s: &&EngineSnapshot| s.store().version == version && s.calib_epoch == epoch;
         if let Some(snap) = self
             .engine
             .read()
@@ -795,7 +799,7 @@ impl ViewService {
         let epoch = self.calib_epoch.load(Ordering::Relaxed);
         if let Some(snap) = guard
             .as_ref()
-            .filter(|s| s.version == version && s.calib_epoch == epoch)
+            .filter(|s| s.store().version == version && s.calib_epoch == epoch)
         {
             return snap.clone();
         }
@@ -806,10 +810,7 @@ impl ViewService {
             .with_config(config)
             .with_cost_log(self.cost_log.clone());
         let snap = EngineSnapshot {
-            version: store_snap.version,
             calib_epoch: epoch,
-            view_fingerprint: store_snap.fingerprint,
-            store: store_snap,
             engine: Arc::new(engine),
         };
         self.counters
@@ -825,7 +826,7 @@ impl ViewService {
             self.result_cache
                 .write()
                 .expect("result cache lock poisoned")
-                .purge_stale(&snap.store, snap.calib_epoch);
+                .purge_stale(snap.store(), snap.calib_epoch);
         }
         snap
     }
@@ -1012,11 +1013,11 @@ impl ViewService {
                 .expect("result cache lock poisoned");
             cache
                 .map
-                .get(&(qfp, snap.view_fingerprint, snap.calib_epoch))
+                .get(&(qfp, snap.store().fingerprint, snap.calib_epoch))
                 .filter(|e| {
                     *e.qkey == *qkey
                         && (has_graph || e.graph_free)
-                        && plan_epoch_key(&e.plan, &snap.store) == e.epoch_key
+                        && plan_epoch_key(&e.plan, snap.store()) == e.epoch_key
                 })
                 .map(|e| {
                     cache.touch(e);
@@ -1054,8 +1055,8 @@ impl ViewService {
         if bytes > budget {
             return;
         }
-        let epoch_key = plan_epoch_key(&a.plan, &snap.store);
-        let key = (qfp, snap.view_fingerprint, snap.calib_epoch);
+        let epoch_key = plan_epoch_key(&a.plan, snap.store());
+        let key = (qfp, snap.store().fingerprint, snap.calib_epoch);
         let mut cache = self
             .result_cache
             .write()
@@ -1070,7 +1071,7 @@ impl ViewService {
         // the purge on the next engine rebuild, which every later batch
         // performs.)
         let current = self.store.snapshot();
-        if current.fingerprint != snap.view_fingerprint
+        if current.fingerprint != snap.store().fingerprint
             || plan_epoch_key(&a.plan, &current) != epoch_key
             || snap.calib_epoch != self.calib_epoch.load(Ordering::Relaxed)
         {
@@ -1121,8 +1122,8 @@ impl ViewService {
             return false;
         }
         let basis = (
-            snap.view_fingerprint,
-            snap.store.max_epoch(),
+            snap.store().fingerprint,
+            snap.store().max_epoch(),
             snap.calib_epoch,
         );
         let hit = {
@@ -1148,8 +1149,8 @@ impl ViewService {
             return;
         }
         let basis = (
-            snap.view_fingerprint,
-            snap.store.max_epoch(),
+            snap.store().fingerprint,
+            snap.store().max_epoch(),
             snap.calib_epoch,
         );
         let mut cache = self
@@ -1191,8 +1192,8 @@ impl ViewService {
     /// [`QueryEngine::answer`] (or
     /// [`QueryEngine::answer_from_views`] when `g` is `None`) would return.
     ///
-    /// When `g` is supplied it must be the graph the store was
-    /// materialized against — extensions from one graph say nothing about
+    /// When `g` is supplied it must be the graph of the store snapshot the
+    /// batch executes on — extensions from one graph say nothing about
     /// another. This is *checked* before the first plan in the batch that
     /// actually reads `G` (one `O(|E(G)|)` fingerprint, at most once per
     /// batch, and not at all for views-only traffic): such queries fail
@@ -1203,6 +1204,24 @@ impl ViewService {
     /// Callable concurrently from any number of threads.
     pub fn serve_batch(
         &self,
+        queries: &[Pattern],
+        g: Option<&DataGraph>,
+    ) -> Vec<Result<ServedAnswer, ServiceError>> {
+        let out = self.serve_batch_at(&self.engine(), queries, g);
+        // Adaptive planning: between batches, re-fit the cost weights from
+        // the measurements this batch just added (no-op unless
+        // [`ServiceConfig::recalibrate_every`] is set).
+        self.maybe_recalibrate();
+        out
+    }
+
+    /// [`Self::serve_batch`] against one engine snapshot, taken at the
+    /// batch's start. A supplied `g` is validated against *that*
+    /// snapshot's graph, not the live store's: a delta landing mid-batch
+    /// must not let the post-delta graph mix with pre-delta extensions.
+    fn serve_batch_at(
+        &self,
+        snap: &EngineSnapshot,
         queries: &[Pattern],
         g: Option<&DataGraph>,
     ) -> Vec<Result<ServedAnswer, ServiceError>> {
@@ -1219,7 +1238,6 @@ impl ViewService {
             .max_in_flight
             .fetch_max(depth, Ordering::Relaxed);
 
-        let snap = self.engine();
         // Lazily-computed graph validation, shared by every graph-reading
         // plan in this batch (views-only plans never pay for it).
         let mut graph_check: Option<Result<(), ServiceError>> = None;
@@ -1227,7 +1245,7 @@ impl ViewService {
             graph_check
                 .get_or_insert_with(|| {
                     let actual = crate::shard::graph_fingerprint(g);
-                    let expected = self.store.graph_fingerprint();
+                    let expected = snap.store().graph_fingerprint;
                     if actual == expected {
                         Ok(())
                     } else {
@@ -1268,7 +1286,7 @@ impl ViewService {
                 // Negative cache: a strict call repeating a remembered
                 // NeedsGraph refusal is refused without touching the plan
                 // cache or the planner at all.
-                None if g.is_none() && self.cached_refusal(&snap, qfp, &qkey) => {
+                None if g.is_none() && self.cached_refusal(snap, qfp, &qkey) => {
                     self.counters.starved.fetch_add(1, Ordering::Relaxed);
                     let micros = t0.elapsed().as_micros() as u64;
                     self.record_latency(micros);
@@ -1281,7 +1299,7 @@ impl ViewService {
                 // Cross-batch result cache: an identical query whose
                 // epoch-set stamp is unchanged at this snapshot returns the
                 // shared answer without planning or executing anything.
-                None => match self.cached_result(&snap, qfp, &qkey, g.is_some()) {
+                None => match self.cached_result(snap, qfp, &qkey, g.is_some()) {
                     Some(hit) => {
                         // Served without executing: no CostSample recorded,
                         // and the recalibration cadence must not advance.
@@ -1309,7 +1327,7 @@ impl ViewService {
                     None => {
                         let (plan, plan_cached) = self.plan_for(
                             &snap.engine,
-                            snap.view_fingerprint,
+                            snap.store().fingerprint,
                             snap.calib_epoch,
                             qfp,
                             &qkey,
@@ -1363,9 +1381,9 @@ impl ViewService {
                         // executes); other failures (mismatches) are never
                         // remembered.
                         match &executed {
-                            Ok(a) => self.cache_result(&snap, qfp, &qkey, a),
+                            Ok(a) => self.cache_result(snap, qfp, &qkey, a),
                             Err(ServiceError::NeedsGraph) if g.is_none() => {
-                                self.cache_refusal(&snap, qfp, &qkey)
+                                self.cache_refusal(snap, qfp, &qkey)
                             }
                             Err(_) => {}
                         }
@@ -1387,10 +1405,6 @@ impl ViewService {
             self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
             out.push(answer);
         }
-        // Adaptive planning: between batches, re-fit the cost weights from
-        // the measurements this batch just added (no-op unless
-        // [`ServiceConfig::recalibrate_every`] is set).
-        self.maybe_recalibrate();
         out
     }
 
@@ -1410,7 +1424,7 @@ impl ViewService {
             .read()
             .expect("plan cache lock poisoned")
             .map
-            .get(&(qfp, snap.view_fingerprint))
+            .get(&(qfp, snap.store().fingerprint))
             .filter(|entry| *entry.qkey == *qkey && entry.epoch == snap.calib_epoch)
             .map(|entry| entry.plan.clone());
         let plan_cached = cached_plan.is_some();
@@ -1419,14 +1433,14 @@ impl ViewService {
             .read()
             .expect("result cache lock poisoned")
             .map
-            .get(&(qfp, snap.view_fingerprint, snap.calib_epoch))
+            .get(&(qfp, snap.store().fingerprint, snap.calib_epoch))
             .is_some_and(|entry| {
-                *entry.qkey == *qkey && plan_epoch_key(&entry.plan, &snap.store) == entry.epoch_key
+                *entry.qkey == *qkey && plan_epoch_key(&entry.plan, snap.store()) == entry.epoch_key
             });
         let plan = cached_plan.unwrap_or_else(|| Arc::new(snap.engine.plan(q)));
         format!(
             "{plan}\n  cache  : query {qfp:#018x} / views {:#018x} (plan {}, result {})",
-            snap.view_fingerprint,
+            snap.store().fingerprint,
             if plan_cached { "hit" } else { "miss" },
             if result_cached { "hit" } else { "miss" }
         )
@@ -1876,6 +1890,36 @@ mod tests {
         ));
         // And the right graph keeps hitting.
         assert!(svc.serve(&uncovered, Some(&g)).unwrap().result_cached);
+    }
+
+    /// Regression: a batch validates a supplied graph against the snapshot
+    /// it executes on, not the live store. A delta published mid-batch
+    /// moves the live fingerprint to the post-delta graph; a batch still on
+    /// the pre-delta snapshot that is handed that graph must refuse it
+    /// instead of mixing old extensions with the new edges.
+    #[test]
+    fn batch_validates_graph_against_its_own_snapshot() {
+        let (svc, g) = service();
+        let before = svc.engine();
+        let delta = EdgeDelta::new(vec![], vec![(gpv_graph::NodeId(1), gpv_graph::NodeId(2))]);
+        let after = svc.apply_delta(&delta, &g).unwrap().graph;
+        // Nothing covers A -> C, so its plan reads G.
+        let uncovered = vec![single("A", "C")];
+        let stale = svc.serve_batch_at(&before, &uncovered, Some(&after));
+        assert!(
+            matches!(stale[0], Err(ServiceError::GraphMismatch { .. })),
+            "{stale:?}"
+        );
+        // The graph the snapshot was built for still serves on it…
+        let old = svc.serve_batch_at(&before, &uncovered, Some(&g));
+        assert_eq!(
+            *old[0].as_ref().unwrap().result,
+            match_pattern(&uncovered[0], &g)
+        );
+        // …and the next batch takes the post-delta snapshot, which accepts
+        // the post-delta graph.
+        let fresh = svc.serve(&uncovered[0], Some(&after)).unwrap();
+        assert_eq!(*fresh.result, match_pattern(&uncovered[0], &after));
     }
 
     /// Regression (the PR 4 caveat): with `recalibrate_every` set and a hot

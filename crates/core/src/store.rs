@@ -1,18 +1,18 @@
-//! Sharded, concurrently-writable view storage.
+//! The view registry: one published, immutable snapshot.
 //!
-//! A [`ViewSet`] with its [`ViewExtensions`] is a monolithic snapshot: one
-//! blob of view definitions plus extensions, cloned and replaced wholesale.
-//! That is fine for a single-threaded CLI run but not for a serving process
-//! where many threads read views while others register or retire them.
-//! [`ViewStore`] is the concurrent representation: views live in `N`
-//! independent shards, each behind its own [`RwLock`], chosen by a hash of
-//! the view's stable id.
+//! A [`ViewSet`] with its [`ViewExtensions`] is what the planner and the
+//! executors read. [`ViewStore`] is the concurrent owner of that pair: it
+//! keeps every view exactly once, in the published [`StoreSnapshot`] — an
+//! id-ordered vector of `Arc`-shared [`StoredView`]s behind an `Arc` — and
+//! every mutation builds the *next* snapshot from the current one and
+//! swaps it in.
 //!
 //! Concurrency contract (MVCC):
 //!
 //! * **Writes** (insert / remove / [`ViewStore::apply_delta`]) serialize on
-//!   one writer mutex, mutate the owning shard(s), and then *publish* a
-//!   freshly assembled [`StoreSnapshot`] behind an `Arc` swap;
+//!   one writer mutex, build the next id-ordered view vector from the
+//!   current snapshot (cloning `Arc` handles, never pairs), and *publish*
+//!   it behind an `Arc` swap;
 //! * **Reads never block on writers**: [`ViewStore::snapshot`] clones the
 //!   published `Arc` — in-flight readers keep serving whatever snapshot
 //!   they hold while a writer prepares the next one, and a half-applied
@@ -28,7 +28,11 @@
 //! registration) rather than the positional indices of
 //! [`ViewSet`]: positions shift when views are
 //! retired, ids never do. Snapshots order views by id, so planning and
-//! execution are deterministic regardless of shard count or interleaving.
+//! execution are deterministic regardless of interleaving.
+//!
+//! The shard count is only the on-disk partition:
+//! [`ViewStore::save_to_dir`] writes view `id` into the file its id hashes
+//! to, and [`ViewStore::occupancy`] groups the snapshot the same way.
 //!
 //! ## Epochs
 //!
@@ -52,15 +56,13 @@ use crate::shard::{
 use crate::view::{ViewDef, ViewExtensions, ViewSet};
 use gpv_graph::stats::GraphStats;
 use gpv_graph::{DataGraph, NodeId};
-use gpv_matching::result::MatchResult;
 use gpv_matching::simulation::match_pattern;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One materialized view as stored: its stable id, definition and cached
-/// extension, shared by `Arc` between the shards and live snapshots.
+/// extension, shared by `Arc` between live snapshots.
 #[derive(Debug)]
 pub struct StoredView {
     /// Stable registration id (never reused within a store).
@@ -77,6 +79,16 @@ pub struct StoredView {
     /// epoch. Cache keys derived from the epochs of the views a plan reads
     /// stay valid across mutations that touch other views.
     pub epoch: u64,
+}
+
+/// A freshly registered (or re-frozen) view, ready to enter a snapshot.
+fn stored_view(id: u64, def: ViewDef, ext: Arc<CompactView>, epoch: u64) -> Arc<StoredView> {
+    Arc::new(StoredView {
+        id,
+        def,
+        ext,
+        epoch,
+    })
 }
 
 /// Errors from store mutation.
@@ -139,7 +151,7 @@ pub struct DeltaReport {
     pub unaffected: usize,
 }
 
-/// Occupancy of one shard — how many views it holds and how many
+/// Occupancy of one on-disk shard — how many views it holds and how many
 /// materialized pairs they carry (the serving-layer stats surface this so
 /// skew is visible).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,11 +162,6 @@ pub struct ShardOccupancy {
     pub views: usize,
     /// Total materialized match pairs across those views.
     pub pairs: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    views: Vec<Arc<StoredView>>,
 }
 
 /// One row of [`ViewStore::eviction_advice`]: a resident view no workload
@@ -171,7 +178,7 @@ pub struct EvictionAdvice {
     pub resident_bytes: usize,
 }
 
-/// A sharded, concurrently-writable registry of materialized views.
+/// A concurrently-writable registry of materialized views.
 ///
 /// See the [module docs](self) for the locking contract. Build one with
 /// [`ViewStore::materialize`] (or [`ViewStore::load_from_dir`] for a saved
@@ -206,105 +213,73 @@ pub struct EvictionAdvice {
 /// ```
 #[derive(Debug)]
 pub struct ViewStore {
-    shards: Vec<RwLock<Shard>>,
-    next_id: AtomicU64,
-    /// Bumped on every successful mutation; snapshot consumers use it to
-    /// detect staleness without locking any shard.
-    version: AtomicU64,
-    /// Fingerprint of the graph the store currently materializes. Atomic
-    /// because [`Self::apply_delta`] moves it to the post-delta graph.
-    graph_fingerprint: AtomicU64,
-    /// Version of the last applied edge delta (0 = the graph has never
-    /// changed). Mirrored into every snapshot as
-    /// [`StoreSnapshot::graph_epoch`].
-    graph_epoch: AtomicU64,
-    graph_stats: Option<GraphStats>,
-    /// The published MVCC snapshot: always fully assembled and internally
-    /// consistent. Readers clone the `Arc`; only the writer path (under
-    /// [`Self::writer`]) replaces it.
+    /// On-disk partition count (minimum 1): [`Self::save_to_dir`] writes
+    /// one `shard-NNNN.bin` per shard.
+    shards: usize,
+    /// The published MVCC snapshot — the registry itself. Readers clone the
+    /// `Arc`; only the writer path (under [`Self::writer`]) replaces it.
     published: RwLock<Arc<StoreSnapshot>>,
     /// Serializes all mutations and owns the warm incremental maintainers
-    /// (view id → [`IncrementalView`]). Holding this across shard edits and
-    /// the publish step is what makes half-applied deltas unobservable.
+    /// plus the id watermark. Holding this from reading the current
+    /// snapshot to publishing its successor is what makes half-applied
+    /// deltas unobservable and lost updates impossible.
     writer: Mutex<WriterState>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WriterState {
-    /// Warm maintainers, promoted lazily the first time a delta affects a
-    /// view. They hold no copy of the graph: each delta lends them the
-    /// store's pre- and post-delta graphs, and a delta that leaves a view
-    /// unaffected leaves its relation and supports exact as they are.
+    /// Warm maintainers (view id → [`IncrementalView`]), promoted lazily
+    /// the first time a delta affects a view. They hold no copy of the
+    /// graph: each delta lends them the store's pre- and post-delta
+    /// graphs, and a delta that leaves a view unaffected leaves its
+    /// relation and supports exact as they are.
     warm: HashMap<u64, IncrementalView>,
-}
-
-/// FNV-1a over a view id: decorrelates consecutive ids so round-robin
-/// registration still spreads across shards.
-fn shard_hash(id: u64) -> u64 {
-    crate::fnv::fnv1a(&id.to_le_bytes())
+    /// The next stable id to hand out.
+    next_id: u64,
 }
 
 impl ViewStore {
     /// An empty store for graph `g` with `shards` shards (minimum 1).
     pub fn for_graph(g: &DataGraph, shards: usize) -> Self {
-        Self::with_fingerprint(
-            graph_fingerprint(g),
-            Some(gpv_graph::stats::stats(g)),
-            shards,
-        )
+        Self::new(shards, 0, StoreSnapshot::empty_for(g))
     }
 
-    fn with_fingerprint(fp: u64, stats: Option<GraphStats>, shards: usize) -> Self {
-        let n = shards.max(1);
-        let empty = Arc::new(StoreSnapshot {
-            version: 0,
-            fingerprint: view_set_fingerprint(&[]),
-            graph_fingerprint: fp,
-            graph_epoch: 0,
-            graph_stats: stats.clone(),
-            views: Vec::new(),
-            epochs: Vec::new(),
-            view_set: Arc::new(ViewSet::new(Vec::new())),
-            extensions: Arc::new(ViewExtensions {
-                extensions: Vec::new(),
-            }),
-        });
+    fn new(shards: usize, next_id: u64, snap: StoreSnapshot) -> Self {
         ViewStore {
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
-            next_id: AtomicU64::new(0),
-            version: AtomicU64::new(0),
-            graph_fingerprint: AtomicU64::new(fp),
-            graph_epoch: AtomicU64::new(0),
-            graph_stats: stats,
-            published: RwLock::new(empty),
-            writer: Mutex::new(WriterState::default()),
+            shards: shards.max(1),
+            published: RwLock::new(Arc::new(snap)),
+            writer: Mutex::new(WriterState {
+                warm: HashMap::new(),
+                next_id,
+            }),
         }
     }
 
-    /// Materializes `views` over `g` into a fresh store. (No per-view
-    /// fingerprint checks — the store is built for `g` by construction;
-    /// the public [`Self::insert`] path keeps the check.)
+    /// Materializes `views` over `g` into a fresh store: view `i` gets id
+    /// `i` and epoch `i + 1`, and the store starts at version
+    /// `views.card()`. (No per-view fingerprint checks — the store is built
+    /// for `g` by construction; the public [`Self::insert`] path keeps the
+    /// check.)
     pub fn materialize(views: ViewSet, g: &DataGraph, shards: usize) -> Self {
-        let store = Self::for_graph(g, shards);
-        for (_, def) in views.iter() {
-            let ext = match_pattern(&def.pattern, g);
-            store.insert_raw(def.clone(), Arc::new(CompactView::freeze(&ext)));
-        }
-        store.publish();
-        store
+        let stored: Vec<Arc<StoredView>> = (0u64..)
+            .zip(views.views())
+            .map(|(id, def)| {
+                let ext = CompactView::freeze(&match_pattern(&def.pattern, g));
+                stored_view(id, def.clone(), Arc::new(ext), id + 1)
+            })
+            .collect();
+        let n = stored.len() as u64;
+        Self::new(shards, n, StoreSnapshot::empty_for(g).successor(n, stored))
     }
 
-    /// Number of shards.
+    /// Number of on-disk shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
-    /// Total views across all shards.
+    /// Views in the published snapshot.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").views.len())
-            .sum()
+        self.published().views.len()
     }
 
     /// Whether the store holds no views.
@@ -315,115 +290,71 @@ impl ViewStore {
     /// Fingerprint of the graph this store currently materializes against
     /// (moves when [`Self::apply_delta`] mutates the edge set).
     pub fn graph_fingerprint(&self) -> u64 {
-        self.graph_fingerprint.load(Ordering::Acquire)
+        self.published().graph_fingerprint
     }
 
     /// Version of the last applied edge delta (0 if the graph never
     /// changed). Plans that read `G` fold this into their cache keys.
     pub fn graph_epoch(&self) -> u64 {
-        self.graph_epoch.load(Ordering::Acquire)
+        self.published().graph_epoch
     }
 
-    /// Statistics of that graph, captured at construction.
-    pub fn graph_stats(&self) -> Option<&GraphStats> {
-        self.graph_stats.as_ref()
-    }
-
-    /// The store's mutation counter: bumped on every insert/remove, stable
-    /// across reads. Snapshot consumers compare it to decide whether a
-    /// cached engine is still current.
+    /// The store's mutation counter: bumped on every insert/remove/delta,
+    /// stable across reads. Snapshot consumers compare it to decide whether
+    /// a cached engine is still current.
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.published().version
     }
 
     fn shard_of(&self, id: u64) -> usize {
-        (shard_hash(id) % self.shards.len() as u64) as usize
+        // FNV-1a over the id decorrelates consecutive ids, so round-robin
+        // registration still spreads across shards.
+        (crate::fnv::fnv1a(&id.to_le_bytes()) % self.shards as u64) as usize
     }
 
     /// Materializes `def` over `g` and registers it, returning its stable
-    /// id. The materialization work runs before any lock is taken.
+    /// id, or [`StoreError::GraphMismatch`] when `g` is not the store's
+    /// current graph. The materialization work runs before any lock is
+    /// taken.
     pub fn insert(&self, def: ViewDef, g: &DataGraph) -> Result<u64, StoreError> {
         let actual = graph_fingerprint(g);
-        let expected = self.graph_fingerprint();
-        if actual != expected {
-            return Err(StoreError::GraphMismatch { expected, actual });
+        let ext = Arc::new(CompactView::freeze(&match_pattern(&def.pattern, g)));
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let cur = self.snapshot();
+        if actual != cur.graph_fingerprint {
+            return Err(StoreError::GraphMismatch {
+                expected: cur.graph_fingerprint,
+                actual,
+            });
         }
-        let ext = match_pattern(&def.pattern, g);
-        Ok(self.insert_materialized(def, ext))
-    }
-
-    /// Registers an already-materialized extension (e.g. from a loaded
-    /// cache), freezing it into its columnar arena region. The caller
-    /// asserts `ext = def(G)` for this store's graph.
-    pub fn insert_materialized(&self, def: ViewDef, ext: MatchResult) -> u64 {
-        self.insert_shared(def, Arc::new(CompactView::freeze(&ext)))
-    }
-
-    /// [`Self::insert_materialized`] for a region that is already frozen
-    /// and shared — registration keeps the `Arc`, so no pairs are copied.
-    pub fn insert_shared(&self, def: ViewDef, ext: Arc<CompactView>) -> u64 {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
-        let id = self.insert_raw(def, ext);
-        self.publish();
-        id
-    }
-
-    /// Shard insertion without publication: the bulk-load path
-    /// (`materialize`, `load_from_dir`) registers every view
-    /// first and publishes one snapshot at the end, keeping construction
-    /// O(n) instead of O(n²). The new view's epoch is the post-insert
-    /// version.
-    fn insert_raw(&self, def: ViewDef, ext: Arc<CompactView>) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.version.fetch_add(1, Ordering::Release) + 1;
-        let stored = Arc::new(StoredView {
-            id,
-            def,
-            ext,
-            epoch,
-        });
-        let shard = self.shard_of(id);
-        self.shards[shard]
-            .write()
-            .expect("shard lock poisoned")
-            .views
-            .push(stored);
-        id
-    }
-
-    /// Registers a view under an explicit stable id — the shard loader's
-    /// path, which must reproduce the saved store's id → shard routing
-    /// exactly. Does not advance `next_id`; the caller restores the
-    /// watermark from the metadata.
-    fn insert_with_id(&self, id: u64, def: ViewDef, ext: Arc<CompactView>) {
-        let epoch = self.version.fetch_add(1, Ordering::Release) + 1;
-        let stored = Arc::new(StoredView {
-            id,
-            def,
-            ext,
-            epoch,
-        });
-        let shard = self.shard_of(id);
-        self.shards[shard]
-            .write()
-            .expect("shard lock poisoned")
-            .views
-            .push(stored);
+        let id = writer.next_id;
+        writer.next_id += 1;
+        let version = cur.version + 1;
+        // Ids only grow, so appending keeps the vector id-ordered.
+        let mut views = cur.views.clone();
+        views.push(stored_view(id, def, ext, version));
+        self.publish(cur.successor(version, views));
+        Ok(id)
     }
 
     /// Persists the store to `dir` as `meta.json` plus one flat
     /// `shard-NNNN.bin` per shard (see [`crate::shard`] for the byte
-    /// layout). The write is deterministic — views in id order, names
+    /// layout). Views, graph fingerprint and statistics all come from one
+    /// snapshot, so a concurrent delta can never stamp old views with a
+    /// new graph. The write is deterministic — views in id order, names
     /// interned in first-appearance order — so save → load → save
     /// reproduces byte-identical files (pinned by tests).
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), ShardError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let snap = self.snapshot();
-        let fp = self.graph_fingerprint();
-        for (i, _) in self.shards.iter().enumerate() {
+        let (snap, next_id) = {
+            let writer = self.writer.lock().expect("writer lock poisoned");
+            (self.snapshot(), writer.next_id)
+        };
+        let fp = snap.graph_fingerprint;
+        for i in 0..self.shards {
             let mine: Vec<(u64, &ViewDef, &CompactView)> = snap
-                .views()
+                .views
                 .iter()
                 .filter(|v| self.shard_of(v.id) == i)
                 .map(|v| (v.id, &v.def, &*v.ext))
@@ -433,10 +364,10 @@ impl ViewStore {
         }
         let meta = StoreMeta {
             format_version: SHARD_VERSION,
-            shard_count: self.shards.len() as u32,
+            shard_count: self.shards as u32,
             graph_fingerprint: fp,
-            next_id: self.next_id.load(Ordering::Relaxed),
-            graph_stats: self.graph_stats.clone(),
+            next_id,
+            graph_stats: snap.graph_stats.clone(),
         };
         std::fs::write(dir.join("meta.json"), serde_json::to_string(&meta)?)?;
         Ok(())
@@ -445,7 +376,9 @@ impl ViewStore {
     /// Loads a store saved by [`Self::save_to_dir`]: reads `meta.json`,
     /// then decodes every shard file (validating magic, version, checksum
     /// and structure — a corrupt file is a clean error, never a panic) into
-    /// a store with the saved shard count and stable ids.
+    /// a store with the saved shard count and stable ids. Views are
+    /// stamped with epochs `1..=n` in file order, and the store starts at
+    /// version `n`.
     pub fn load_from_dir(dir: impl AsRef<Path>) -> Result<Self, ShardError> {
         let dir = dir.as_ref();
         let meta_raw = std::fs::read_to_string(dir.join("meta.json"))?;
@@ -453,12 +386,7 @@ impl ViewStore {
         if meta.format_version != SHARD_VERSION {
             return Err(ShardError::BadVersion(meta.format_version));
         }
-        let store = Self::with_fingerprint(
-            meta.graph_fingerprint,
-            meta.graph_stats.clone(),
-            meta.shard_count as usize,
-        );
-        let mut max_id: Option<u64> = None;
+        let mut views: Vec<Arc<StoredView>> = Vec::new();
         for i in 0..meta.shard_count as usize {
             let bytes = std::fs::read(dir.join(format!("shard-{i:04}.bin")))?;
             let contents = decode_shard(&bytes)?;
@@ -469,18 +397,21 @@ impl ViewStore {
                 });
             }
             for (id, def, ext) in contents.views {
-                max_id = Some(max_id.map_or(id, |m| m.max(id)));
-                store.insert_with_id(id, def, Arc::new(ext));
+                let epoch = views.len() as u64 + 1;
+                views.push(stored_view(id, def, Arc::new(ext), epoch));
             }
         }
+        views.sort_by_key(|v| v.id);
         // Never hand out an id at or below a loaded one, even if the saved
         // watermark is inconsistent.
-        let floor = max_id.map_or(0, |m| m + 1);
-        store
-            .next_id
-            .store(meta.next_id.max(floor), Ordering::Relaxed);
-        store.publish();
-        Ok(store)
+        let floor = views.last().map_or(0, |v| v.id.saturating_add(1));
+        let base = StoreSnapshot::empty(meta.graph_fingerprint, meta.graph_stats);
+        let n = views.len() as u64;
+        Ok(Self::new(
+            meta.shard_count as usize,
+            meta.next_id.max(floor),
+            base.successor(n, views),
+        ))
     }
 
     /// Eviction advice: the resident views whose ids are *not* in
@@ -512,92 +443,60 @@ impl ViewStore {
     /// Retires the view with stable id `id`; returns it if it was present.
     pub fn remove(&self, id: u64) -> Option<Arc<StoredView>> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let shard = self.shard_of(id);
-        let removed = {
-            let mut guard = self.shards[shard].write().expect("shard lock poisoned");
-            let pos = guard.views.iter().position(|v| v.id == id)?;
-            guard.views.remove(pos)
-        };
+        let cur = self.snapshot();
+        let pos = cur.position(id)?;
+        let mut views = cur.views.clone();
+        let removed = views.remove(pos);
         writer.warm.remove(&id);
-        self.version.fetch_add(1, Ordering::Release);
-        self.publish();
+        self.publish(cur.successor(cur.version + 1, views));
         Some(removed)
     }
 
     /// The view with stable id `id`, if resident.
     pub fn get(&self, id: u64) -> Option<Arc<StoredView>> {
-        self.shards[self.shard_of(id)]
-            .read()
-            .expect("shard lock poisoned")
-            .views
-            .iter()
-            .find(|v| v.id == id)
-            .cloned()
+        let snap = self.published();
+        snap.position(id).map(|pos| snap.views[pos].clone())
     }
 
-    /// Per-shard occupancy (views and materialized pairs per shard).
+    /// Per-shard occupancy: the snapshot grouped by the on-disk shard each
+    /// view is saved to.
     pub fn occupancy(&self) -> Vec<ShardOccupancy> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let guard = s.read().expect("shard lock poisoned");
-                ShardOccupancy {
-                    shard: i,
-                    views: guard.views.len(),
-                    pairs: guard.views.iter().map(|v| v.ext.size() as u64).sum(),
-                }
+        let mut occ: Vec<ShardOccupancy> = (0..self.shards)
+            .map(|shard| ShardOccupancy {
+                shard,
+                views: 0,
+                pairs: 0,
             })
-            .collect()
+            .collect();
+        for v in self.snapshot().views() {
+            let o = &mut occ[self.shard_of(v.id)];
+            o.views += 1;
+            o.pairs += v.ext.size() as u64;
+        }
+        occ
     }
 
     /// The current published MVCC snapshot: `Arc` handles to every resident
-    /// view, ordered by stable id. This is a pointer clone — no shard lock
-    /// is touched, and a writer mid-mutation never tears what readers see
-    /// (the next snapshot appears only when its publish completes).
+    /// view, ordered by stable id. This is a pointer clone, and a writer
+    /// mid-mutation never tears what readers see (the next snapshot appears
+    /// only when its publish completes).
     pub fn snapshot(&self) -> Arc<StoreSnapshot> {
+        self.published().clone()
+    }
+
+    fn published(&self) -> std::sync::RwLockReadGuard<'_, Arc<StoreSnapshot>> {
         self.published
             .read()
             .expect("published snapshot lock poisoned")
-            .clone()
     }
 
-    /// Assembles and publishes a fresh snapshot from the shards. Called at
-    /// the end of every mutation (under [`Self::writer`] for concurrent
-    /// paths; bulk constructors call it once after loading).
-    fn publish(&self) {
-        let version = self.version();
-        let mut views: Vec<Arc<StoredView>> = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            views.extend(s.read().expect("shard lock poisoned").views.iter().cloned());
-        }
-        views.sort_by_key(|v| v.id);
-        let fingerprint = view_set_fingerprint(&views);
-        // Assembled once per publish (i.e. once per store version) and then
-        // shared by `Arc` into every engine built from it: the positional
-        // view set clones the (small) definitions, the extensions clone one
-        // `Arc` per view — never the materialized pairs. A rebuild after a
-        // mutation therefore costs O(card(V)), not O(|V(G)|).
-        let view_set = Arc::new(ViewSet::new(views.iter().map(|v| v.def.clone()).collect()));
-        let extensions = Arc::new(ViewExtensions {
-            extensions: views.iter().map(|v| v.ext.clone()).collect(),
-        });
-        let epochs = views.iter().map(|v| v.epoch).collect();
-        let snap = Arc::new(StoreSnapshot {
-            version,
-            fingerprint,
-            graph_fingerprint: self.graph_fingerprint(),
-            graph_epoch: self.graph_epoch(),
-            graph_stats: self.graph_stats.clone(),
-            views,
-            epochs,
-            view_set,
-            extensions,
-        });
+    /// Publishes `next` as the current snapshot. Called under
+    /// [`Self::writer`] at the end of every mutation.
+    fn publish(&self, next: StoreSnapshot) {
         *self
             .published
             .write()
-            .expect("published snapshot lock poisoned") = snap;
+            .expect("published snapshot lock poisoned") = Arc::new(next);
     }
 
     /// Applies an edge-delta batch to the store's graph and incrementally
@@ -625,37 +524,31 @@ impl ViewStore {
         current: &DataGraph,
     ) -> Result<DeltaReport, StoreError> {
         let actual = graph_fingerprint(current);
-        let expected = self.graph_fingerprint();
-        if actual != expected {
-            return Err(StoreError::GraphMismatch { expected, actual });
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let cur = self.snapshot();
+        if actual != cur.graph_fingerprint {
+            return Err(StoreError::GraphMismatch {
+                expected: cur.graph_fingerprint,
+                actual,
+            });
         }
         delta.validate(current)?;
-
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
         let next = delta.apply_to(current);
 
-        // Current membership, id-ordered (shards only read under the writer
-        // mutex, so this is a consistent view).
-        let mut resident: Vec<Arc<StoredView>> = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            resident.extend(s.read().expect("shard lock poisoned").views.iter().cloned());
-        }
-        resident.sort_by_key(|v| v.id);
-        let resident_ids: HashSet<u64> = resident.iter().map(|v| v.id).collect();
-        writer.warm.retain(|id, _| resident_ids.contains(id));
-
-        let index = ViewFootprintIndex::build(resident.iter().map(|v| (v.id, &v.def)), current);
+        let index = ViewFootprintIndex::build(cur.views.iter().map(|v| (v.id, &v.def)), current);
         let affected = index.affected(delta, current);
-        let affected_set: HashSet<u64> = affected.iter().copied().collect();
-
-        let new_version = self.version.load(Ordering::Acquire) + 1;
+        let version = cur.version + 1;
+        let mut views = cur.views.clone();
         let mut changed = Vec::new();
-        for v in resident.iter().filter(|v| affected_set.contains(&v.id)) {
+        for slot in views
+            .iter_mut()
+            .filter(|v| affected.binary_search(&v.id).is_ok())
+        {
             // Cold maintainers are promoted straight from the stored
             // (pre-delta) extension — the relation is already known, so no
             // refinement fixpoint runs even on the first delta.
-            let m = writer.warm.entry(v.id).or_insert_with(|| {
-                IncrementalView::from_result(v.def.pattern.clone(), current, &v.ext.thaw())
+            let m = writer.warm.entry(slot.id).or_insert_with(|| {
+                IncrementalView::from_result(slot.def.pattern.clone(), current, &slot.ext.thaw())
             });
             m.apply(delta, current, &next);
             if !m.take_dirty() {
@@ -664,35 +557,21 @@ impl ViewStore {
                 continue;
             }
             let ext = CompactView::freeze(&m.result(&next));
-            if ext.content_eq(&v.ext) {
+            if ext.content_eq(&slot.ext) {
                 continue; // identical result: keep the old arena Arc + epoch
             }
-            let shard = self.shard_of(v.id);
-            let mut guard = self.shards[shard].write().expect("shard lock poisoned");
-            let pos = guard
-                .views
-                .iter()
-                .position(|s| s.id == v.id)
-                .expect("resident view present in its shard");
-            guard.views[pos] = Arc::new(StoredView {
-                id: v.id,
-                def: v.def.clone(),
-                ext: Arc::new(ext),
-                epoch: new_version,
-            });
-            drop(guard);
-            changed.push(v.id);
+            *slot = stored_view(slot.id, slot.def.clone(), Arc::new(ext), version);
+            changed.push(slot.id);
         }
 
-        self.graph_fingerprint
-            .store(graph_fingerprint(&next), Ordering::Release);
-        self.graph_epoch.store(new_version, Ordering::Release);
-        self.version.store(new_version, Ordering::Release);
-        self.publish();
-        let unaffected = resident.len() - affected.len();
+        let unaffected = views.len() - affected.len();
+        let mut snap = cur.successor(version, views);
+        snap.graph_fingerprint = graph_fingerprint(&next);
+        snap.graph_epoch = version;
+        self.publish(snap);
         Ok(DeltaReport {
             graph: next,
-            version: new_version,
+            version,
             affected,
             changed,
             unaffected,
@@ -718,8 +597,8 @@ fn view_set_fingerprint(views: &[Arc<StoredView>]) -> u64 {
     h.finish()
 }
 
-/// An immutable, lock-free view of the store at one version: what the
-/// serving layer plans and executes against.
+/// An immutable, lock-free view of the store at one version: the registry
+/// the serving layer plans and executes against.
 #[derive(Clone, Debug)]
 pub struct StoreSnapshot {
     /// Store version this snapshot was taken at.
@@ -738,11 +617,57 @@ pub struct StoreSnapshot {
     views: Vec<Arc<StoredView>>,
     /// Position-aligned with `views`: `epochs[i]` is view `i`'s epoch.
     epochs: Vec<u64>,
-    view_set: Arc<ViewSet>,
-    extensions: Arc<ViewExtensions>,
+    view_set: ViewSet,
+    extensions: ViewExtensions,
 }
 
 impl StoreSnapshot {
+    /// The empty registry for a graph with fingerprint `graph_fingerprint`.
+    fn empty(graph_fingerprint: u64, graph_stats: Option<GraphStats>) -> Self {
+        StoreSnapshot {
+            version: 0,
+            fingerprint: view_set_fingerprint(&[]),
+            graph_fingerprint,
+            graph_epoch: 0,
+            graph_stats,
+            views: Vec::new(),
+            epochs: Vec::new(),
+            view_set: ViewSet::new(Vec::new()),
+            extensions: ViewExtensions {
+                extensions: Vec::new(),
+            },
+        }
+    }
+
+    fn empty_for(g: &DataGraph) -> Self {
+        Self::empty(graph_fingerprint(g), Some(gpv_graph::stats::stats(g)))
+    }
+
+    /// The snapshot holding `views` (id-ordered) at `version`, over the
+    /// same graph. The positional view set clones the (small) definitions
+    /// and the extensions clone one `Arc` per view — never the
+    /// materialized pairs — so a publish costs O(card(V)), not O(|V(G)|).
+    fn successor(&self, version: u64, views: Vec<Arc<StoredView>>) -> Self {
+        StoreSnapshot {
+            version,
+            fingerprint: view_set_fingerprint(&views),
+            graph_fingerprint: self.graph_fingerprint,
+            graph_epoch: self.graph_epoch,
+            graph_stats: self.graph_stats.clone(),
+            epochs: views.iter().map(|v| v.epoch).collect(),
+            view_set: ViewSet::new(views.iter().map(|v| v.def.clone()).collect()),
+            extensions: ViewExtensions {
+                extensions: views.iter().map(|v| v.ext.clone()).collect(),
+            },
+            views,
+        }
+    }
+
+    /// Position of stable id `id` in [`views`](Self::views).
+    fn position(&self, id: u64) -> Option<usize> {
+        self.views.binary_search_by_key(&id, |v| v.id).ok()
+    }
+
     /// The snapshot's views in stable-id order.
     pub fn views(&self) -> &[Arc<StoredView>] {
         &self.views
@@ -775,18 +700,17 @@ impl StoreSnapshot {
     }
 
     /// The positional [`ViewSet`] the planner consumes, assembled once at
-    /// snapshot time and shared by `Arc` (cloning the handle is O(1)).
-    pub fn view_set(&self) -> Arc<ViewSet> {
-        self.view_set.clone()
+    /// publish time.
+    pub fn view_set(&self) -> &ViewSet {
+        &self.view_set
     }
 
     /// The positional [`ViewExtensions`] the executor reads, assembled once
-    /// at snapshot time. The handle — and every per-view extension inside
-    /// it — is `Arc`-shared with the store, so this never copies pairs
-    /// (the old deep-copy per engine rebuild is gone; `tests/service.rs`
-    /// pins it with `Arc::ptr_eq`).
-    pub fn extensions(&self) -> Arc<ViewExtensions> {
-        self.extensions.clone()
+    /// at publish time. Every per-view extension inside it is `Arc`-shared
+    /// with the stored views, so an engine borrowing this snapshot never
+    /// copies pairs (`tests/service.rs` pins it with `Arc::ptr_eq`).
+    pub fn extensions(&self) -> &ViewExtensions {
+        &self.extensions
     }
 }
 

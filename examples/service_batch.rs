@@ -22,7 +22,8 @@ fn main() {
         .collect();
     let views = covering_views(&queries, 2, 7);
 
-    // Shard the materialized views; 8 shards, independently locked.
+    // Register the materialized views; 8 on-disk shards, one published
+    // snapshot that every batch reads lock-free.
     let store = Arc::new(ViewStore::materialize(views, &g, 8));
     let service = ViewService::new(store);
 
