@@ -181,6 +181,14 @@ impl CompactView {
         &self.pairs
     }
 
+    /// The largest stored node id — pair endpoint or node-set member —
+    /// if any: an extension of a graph with `n` nodes stays below `n`.
+    pub fn max_node(&self) -> Option<NodeId> {
+        let pairs = self.pairs.iter().map(|&(a, b)| a.0.max(b.0)).max();
+        let nodes = self.nodes.iter().map(|v| v.0).max();
+        pairs.max(nodes).map(NodeId)
+    }
+
     /// The paper's `|V(G)|` for this view: total pairs across all edges.
     pub fn size(&self) -> usize {
         self.pairs.len()

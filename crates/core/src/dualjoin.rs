@@ -20,8 +20,8 @@
 
 use crate::containment::{ContainmentPlan, ViewEdgeRef};
 use crate::matchjoin::{
-    assemble, build_edge_csr, compact_index, edge_support, filter_surviving, merge_step, EdgeCsr,
-    JoinError,
+    adjacency, assemble, build_edge_csr, compact_index, count_support, filter_surviving,
+    merge_step, zero_support, EdgeCsr, JoinError,
 };
 use crate::view::{ViewExtensions, ViewSet};
 use gpv_graph::{BitSet, NodeId};
@@ -98,14 +98,18 @@ pub fn dual_match_join(
 /// Two-directional support-counter fixpoint over merged candidate sets.
 /// Compaction, the per-edge CSRs, support counting, the final filter and
 /// assembly are `MatchJoin`'s; only the candidates (sources of every
-/// out-edge *and* targets of every in-edge) and the drain, which cascades
-/// both ways, are dual-specific.
+/// out-edge *and* targets of every in-edge), the forward CSR and the
+/// drain, which cascades both ways, are dual-specific.
 fn dual_fixpoint(q: &Pattern, merged: &[Cow<'_, [(NodeId, NodeId)]>]) -> MatchResult {
-    let (index, rev_index) = compact_index(merged);
-    let m = index.len();
-    let csrs: Vec<EdgeCsr> = merged
+    let dense = compact_index(merged);
+    let m = dense.rev_index.len();
+    let csrs: Vec<EdgeCsr> = dense.pairs.iter().map(|p| build_edge_csr(p, m)).collect();
+    // The drain walks successors too, so the dual join alone needs a
+    // forward CSR (offsets by source, target payloads).
+    let fwd: Vec<(Vec<u32>, Vec<u32>)> = dense
+        .pairs
         .iter()
-        .map(|set| build_edge_csr(set, &index, m))
+        .map(|p| adjacency(p.iter().copied(), m))
         .collect();
 
     let mut cand: Vec<BitSet> = Vec::with_capacity(q.node_count());
@@ -125,20 +129,20 @@ fn dual_fixpoint(q: &Pattern, merged: &[Cow<'_, [(NodeId, NodeId)]>]) -> MatchRe
         cand.push(set);
     }
 
-    // `support[0]`: forward support (source side, over `fwd`);
-    // `support[1]`: backward support (target side, over `rev`). Zero-support
-    // candidates seed the drain.
+    // `support[0]`: forward support (source side); `support[1]`: backward
+    // support (target side, over flipped pairs). Zero-support candidates
+    // seed the drain.
     let mut support: [Vec<Vec<u32>>; 2] = [Vec::new(), Vec::new()];
     let mut worklist: Vec<(PatternNodeId, u32)> = Vec::new();
     let mut scheduled: Vec<BitSet> = vec![BitSet::new(m); q.node_count()];
-    for (ei, csr) in csrs.iter().enumerate() {
+    for (ei, pairs) in dense.pairs.iter().enumerate() {
         let (u, t) = q.edge(PatternEdgeId(ei as u32));
-        let (f, zero_f) = edge_support(&csr.fwd, &cand[u.index()], &cand[t.index()], m);
-        let (b, zero_b) = edge_support(&csr.rev, &cand[t.index()], &cand[u.index()], m);
-        for (node, v) in zero_f
-            .into_iter()
+        let (cand_u, cand_t) = (&cand[u.index()], &cand[t.index()]);
+        let f = count_support(pairs.iter().copied(), cand_t, m);
+        let b = count_support(pairs.iter().map(|&(s, w)| (w, s)), cand_u, m);
+        for (node, v) in zero_support(&f, cand_u)
             .map(|v| (u, v))
-            .chain(zero_b.into_iter().map(|v| (t, v)))
+            .chain(zero_support(&b, cand_t).map(|v| (t, v)))
         {
             if scheduled[node.index()].insert(v as usize) {
                 worklist.push((node, v));
@@ -168,7 +172,7 @@ fn dual_fixpoint(q: &Pattern, merged: &[Cow<'_, [(NodeId, NodeId)]>]) -> MatchRe
         let succs = q
             .out_edges(u)
             .iter()
-            .map(|&(t2, e)| (t2, e, &csrs[e.index()].fwd, 1));
+            .map(|&(t2, e)| (t2, e, &fwd[e.index()], 1));
         for (u2, e, (off, adj), dir) in preds.chain(succs) {
             let (a, b) = (off[v as usize] as usize, off[v as usize + 1] as usize);
             for &w in &adj[a..b] {
@@ -187,9 +191,9 @@ fn dual_fixpoint(q: &Pattern, merged: &[Cow<'_, [(NodeId, NodeId)]>]) -> MatchRe
     }
 
     let mut out = Vec::with_capacity(csrs.len());
-    for (ei, csr) in csrs.iter().enumerate() {
+    for (ei, pairs) in dense.pairs.iter().enumerate() {
         let (u, t) = q.edge(PatternEdgeId(ei as u32));
-        let set = filter_surviving(&csr.pairs, &cand[u.index()], &cand[t.index()], &rev_index);
+        let set = filter_surviving(pairs, &cand[u.index()], &cand[t.index()], &dense.rev_index);
         if set.is_empty() {
             return MatchResult::empty();
         }

@@ -32,7 +32,7 @@ use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Merged per-edge match sets, the fixpoint's working input. Sets sourced
 /// from a view borrow the extension arena's canonical flat slice
@@ -337,95 +337,106 @@ pub(crate) fn initial_candidates<S: std::ops::Deref<Target = [(NodeId, NodeId)]>
         .collect()
 }
 
-/// Per-edge compacted representation of a merged match set: dense-id pair
-/// list, endpoint presence bitsets, and forward/reverse CSR adjacency. Pure
-/// per-edge data: an edge that is one work unit is built by
-/// [`build_edge_csr`], a split edge by the chunked build in
-/// [`crate::parallel`].
+/// The merged sets after compaction: every pair endpoint mapped to a
+/// dense id, and the dense → [`NodeId`] table.
+#[derive(Debug)]
+pub(crate) struct Compacted {
+    /// Per edge: compacted `(src, tgt)` pairs, in merge order.
+    pub pairs: Vec<Vec<(u32, u32)>>,
+    /// Dense id → node, in first-occurrence order.
+    pub rev_index: Vec<NodeId>,
+}
+
+/// Dense-id compaction over every node mentioned in the merged sets. Each
+/// pair endpoint goes through a flat `Vec<u32>` remap exactly once; the
+/// remap is sized by the largest id present, which a loaded store bounds
+/// by its node count (`ViewStore::load_from_dir` rejects larger ids). Dense
+/// ids follow first occurrence (source before target, pair by pair), so
+/// the result is deterministic.
+pub(crate) fn compact_index<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
+    merged: &[S],
+) -> Compacted {
+    let span = merged
+        .iter()
+        .flat_map(|set| set.iter())
+        .map(|&(s, t)| s.index().max(t.index()) + 1)
+        .max()
+        .unwrap_or(0);
+    // `remap[v]` is `v`'s dense id plus one; zero means not seen yet.
+    let mut remap = vec![0u32; span];
+    let mut rev_index = Vec::new();
+    let mut dense = |v: NodeId| {
+        let slot = &mut remap[v.index()];
+        if *slot == 0 {
+            rev_index.push(v);
+            *slot = rev_index.len() as u32;
+        }
+        *slot - 1
+    };
+    let pairs = merged
+        .iter()
+        .map(|set| {
+            set.iter()
+                .map(|&(s, t)| {
+                    let s = dense(s);
+                    (s, dense(t))
+                })
+                .collect()
+        })
+        .collect();
+    Compacted { pairs, rev_index }
+}
+
+/// One edge's compacted match set as the drain reads it: endpoint presence
+/// bitsets and the reverse CSR. Pure per-edge data: an edge that is one
+/// work unit is built by [`build_edge_csr`], a split edge by the chunked
+/// build in [`crate::parallel`].
 #[derive(Debug)]
 pub(crate) struct EdgeCsr {
-    /// Compacted `(src, tgt)` pairs, in merge order.
-    pub pairs: Vec<(u32, u32)>,
     /// Dense ids occurring as sources.
     pub srcs: gpv_graph::BitSet,
     /// Dense ids occurring as targets.
     pub tgts: gpv_graph::BitSet,
-    /// Forward CSR: offsets by source, target payloads.
-    pub fwd: (Vec<u32>, Vec<u32>),
     /// Reverse CSR: offsets by target, source payloads.
     pub rev: (Vec<u32>, Vec<u32>),
 }
 
-/// Dense-id compaction over every node mentioned in the merged sets (first
-/// occurrence order, hence deterministic).
-pub(crate) fn compact_index<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
-    merged: &[S],
-) -> (HashMap<NodeId, u32>, Vec<NodeId>) {
-    let mut index: HashMap<NodeId, u32> = HashMap::new();
-    for set in merged {
-        for &(s, t) in set.iter() {
-            let next = index.len() as u32;
-            index.entry(s).or_insert(next);
-            let next = index.len() as u32;
-            index.entry(t).or_insert(next);
-        }
-    }
-    let mut rev_index = vec![NodeId(0); index.len()];
-    for (&node, &i) in &index {
-        rev_index[i as usize] = node;
-    }
-    (index, rev_index)
-}
-
-/// Builds one edge's [`EdgeCsr`] (pure function of that edge's set).
-pub(crate) fn build_edge_csr(
-    set: &[(NodeId, NodeId)],
-    index: &HashMap<NodeId, u32>,
-    m: usize,
-) -> EdgeCsr {
+/// Builds one edge's [`EdgeCsr`] from its compacted pairs.
+pub(crate) fn build_edge_csr(pairs: &[(u32, u32)], m: usize) -> EdgeCsr {
     use gpv_graph::BitSet;
-    let mut ps = Vec::with_capacity(set.len());
-    let mut sb = BitSet::new(m);
-    let mut tb = BitSet::new(m);
-    for &(s, t) in set {
-        let (cs, ct) = (index[&s], index[&t]);
-        ps.push((cs, ct));
-        sb.insert(cs as usize);
-        tb.insert(ct as usize);
-    }
-    let mut fo = vec![0u32; m + 1];
-    for &(s, _) in &ps {
-        fo[s as usize + 1] += 1;
-    }
-    for i in 0..m {
-        fo[i + 1] += fo[i];
-    }
-    let mut cur = fo.clone();
-    let mut ft = vec![0u32; ps.len()];
-    for &(s, t) in &ps {
-        ft[cur[s as usize] as usize] = t;
-        cur[s as usize] += 1;
-    }
-    let mut ro = vec![0u32; m + 1];
-    for &(_, t) in &ps {
-        ro[t as usize + 1] += 1;
-    }
-    for i in 0..m {
-        ro[i + 1] += ro[i];
-    }
-    let mut cur = ro.clone();
-    let mut rs = vec![0u32; ps.len()];
-    for &(s, t) in &ps {
-        rs[cur[t as usize] as usize] = s;
-        cur[t as usize] += 1;
+    let mut srcs = BitSet::new(m);
+    let mut tgts = BitSet::new(m);
+    for &(s, t) in pairs {
+        srcs.insert(s as usize);
+        tgts.insert(t as usize);
     }
     EdgeCsr {
-        pairs: ps,
-        srcs: sb,
-        tgts: tb,
-        fwd: (fo, ft),
-        rev: (ro, rs),
+        srcs,
+        tgts,
+        rev: adjacency(pairs.iter().map(|&(s, t)| (t, s)), m),
     }
+}
+
+/// CSR adjacency over the dense domain `0..m`: offsets by each pair's
+/// first component, second components as payloads in input order.
+pub(crate) fn adjacency<I>(pairs: I, m: usize) -> (Vec<u32>, Vec<u32>)
+where
+    I: Iterator<Item = (u32, u32)> + Clone,
+{
+    let mut off = vec![0u32; m + 1];
+    for (k, _) in pairs.clone() {
+        off[k as usize + 1] += 1;
+    }
+    for i in 0..m {
+        off[i + 1] += off[i];
+    }
+    let mut cur = off[..m].to_vec();
+    let mut vals = vec![0u32; off[m] as usize];
+    for (k, v) in pairs {
+        vals[cur[k as usize] as usize] = v;
+        cur[k as usize] += 1;
+    }
+    (off, vals)
 }
 
 /// Candidate sets per pattern node: intersection of out-edge sources
@@ -462,34 +473,34 @@ pub(crate) fn build_candidates(
     Some(cand)
 }
 
-/// Initial support counters for one pattern edge over one CSR direction:
-/// for each candidate `v` in `cand_from`, how many of `v`'s neighbours in
-/// `adj` are in `cand_to`. Over [`EdgeCsr::fwd`] with `(cand_u, cand_t)`
-/// for `e = (u, t)` that is the forward (successor) support `MatchJoin`
-/// drains; over [`EdgeCsr::rev`] with `(cand_t, cand_u)` it is the backward
-/// (predecessor) support dual simulation adds. Returns the counter vector
-/// plus the zero-support seeds. Pure per-edge data.
-pub(crate) fn edge_support(
-    adj: &(Vec<u32>, Vec<u32>),
-    cand_from: &gpv_graph::BitSet,
+/// Initial support counters for one pattern edge, in one linear pass over
+/// its compacted pairs: `support[v]` counts the pairs `(v, w)` with `w` in
+/// `cand_to`. Over `(s, t)` pairs with `cand_t` that is the forward
+/// (successor) support `MatchJoin` drains; over flipped `(t, s)` pairs with
+/// `cand_u` it is the backward (predecessor) support dual simulation adds.
+/// Counters of non-candidates are never read.
+pub(crate) fn count_support(
+    pairs: impl Iterator<Item = (u32, u32)>,
     cand_to: &gpv_graph::BitSet,
     m: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let (off, nbrs) = adj;
+) -> Vec<u32> {
     let mut support = vec![0u32; m];
-    let mut seeds = Vec::new();
-    for v in cand_from.iter() {
-        let (a, b) = (off[v] as usize, off[v + 1] as usize);
-        let cnt = nbrs[a..b]
-            .iter()
-            .filter(|&&w| cand_to.contains(w as usize))
-            .count() as u32;
-        support[v] = cnt;
-        if cnt == 0 {
-            seeds.push(v as u32);
-        }
+    for (v, w) in pairs {
+        support[v as usize] += u32::from(cand_to.contains(w as usize));
     }
-    (support, seeds)
+    support
+}
+
+/// The members of `cand_from` without support, in ascending dense order:
+/// the drain's seeds for one edge.
+pub(crate) fn zero_support<'a>(
+    support: &'a [u32],
+    cand_from: &'a gpv_graph::BitSet,
+) -> impl Iterator<Item = u32> + 'a {
+    cand_from
+        .iter()
+        .filter(|&v| support[v] == 0)
+        .map(|v| v as u32)
 }
 
 /// The bottom-up drain (Lemma 2) plus the final per-edge filter: removes
@@ -500,17 +511,17 @@ pub(crate) fn edge_support(
 #[allow(clippy::too_many_arguments)] // the kernel's stage outputs + threads
 pub(crate) fn drain_and_extract(
     q: &Pattern,
+    dense: &Compacted,
     csrs: &[EdgeCsr],
     mut cand: Vec<gpv_graph::BitSet>,
     mut support: Vec<Vec<u32>>,
     seeds: &[(PatternNodeId, Vec<u32>)],
-    rev_index: &[NodeId],
     stats: &mut JoinStats,
     threads: usize,
 ) -> FixpointOutcome {
     use gpv_graph::BitSet;
     let np = q.node_count();
-    let m = rev_index.len();
+    let m = dense.rev_index.len();
     let cond = q.condensation();
     let max_rank = (0..np as u32).map(|u| cond.rank(u)).max().unwrap_or(0) as usize;
 
@@ -564,10 +575,10 @@ pub(crate) fn drain_and_extract(
     let out = par_map(csrs.len(), threads, |ei| {
         let (u, t) = q.edge(PatternEdgeId(ei as u32));
         filter_surviving(
-            &csrs[ei].pairs,
+            &dense.pairs[ei],
             &cand[u.index()],
             &cand[t.index()],
-            rev_index,
+            &dense.rev_index,
         )
     })?;
     for set in &out {
@@ -599,16 +610,24 @@ pub(crate) type FixpointOutcome = Result<Option<Vec<Vec<(NodeId, NodeId)>>>, Joi
 
 /// The optimized fixpoint, and the only ranked `MatchJoin` executor:
 /// support counters + rank-bucketed worklist over a *compacted* node
-/// domain — only nodes occurring in the merged sets get dense ids, so all
-/// hot-path structures are flat vectors and bitsets sized by `|V(G)|`, not
-/// `|G|`. Stages: compact → CSR build → candidates → support →
-/// [`drain_and_extract`].
+/// domain — only the `m` nodes occurring in the merged sets get dense ids,
+/// so the hot-path structures are flat vectors and bitsets, and no stage
+/// hashes. Stages and their cost, for `P` merged pairs:
+///
+/// 1. compact ([`compact_index`]): one pass through a dense remap sized by
+///    the largest node id, mapping each endpoint once — O(P) plus the remap;
+/// 2. CSR build ([`build_edge_csr`]): endpoint bitsets plus the reverse CSR
+///    the drain walks — O(P) plus O(|Eq|·m) for the per-edge offsets (no
+///    forward CSR: nothing walks successors);
+/// 3. candidates ([`build_candidates`]): bitset intersections, O(|Eq|·m/64);
+/// 4. support ([`count_support`]): one pass over each edge's pairs, O(P);
+/// 5. [`drain_and_extract`]: the drain, then a filter pass, O(P).
 ///
 /// With `threads == 1` every stage runs inline, one edge at a time. With
 /// more workers the per-edge stages (CSR build, support, final filter) fan
 /// out as *(edge, chunk)* units of at most `chunk` pairs (`0` counts as 1),
 /// fixed by index ([`crate::parallel`]); an edge that is a single unit runs
-/// [`build_edge_csr`] and [`edge_support`] exactly as the inline path does.
+/// [`build_edge_csr`] and [`count_support`] exactly as the inline path does.
 /// Compaction, candidates and the drain stay on the calling thread, so the
 /// answer and the [`JoinStats`] are identical for every `threads` ×
 /// `chunk`. `Err` only on a caught worker panic.
@@ -620,12 +639,12 @@ pub(crate) fn ranked_fixpoint(
     chunk: usize,
 ) -> FixpointOutcome {
     let ne = q.edge_count();
-    let (index, rev_index) = compact_index(&merged);
-    let m = index.len();
-    let units = parallel::chunk_units(&merged, chunk, threads);
+    let dense = compact_index(&merged);
+    let m = dense.rev_index.len();
+    let units = parallel::chunk_units(&dense.pairs, chunk, threads);
 
     stats.edge_visits += ne as u64;
-    let csrs = parallel::build_csrs(&merged, &units, &index, m, threads)?;
+    let csrs = parallel::build_csrs(&dense.pairs, &units, m, threads)?;
 
     let Some(cand) = build_candidates(q, &csrs, m) else {
         return Ok(None);
@@ -633,7 +652,7 @@ pub(crate) fn ranked_fixpoint(
 
     stats.edge_visits += ne as u64;
     let (support, mut zero): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
-        parallel::supports(q, &csrs, &cand, m, &units, threads, chunk)?
+        parallel::supports(q, &dense.pairs, &cand, m, &units, threads)?
             .into_iter()
             .unzip();
     // Seed by source node, then out-edge: the drain's pop order.
@@ -644,7 +663,7 @@ pub(crate) fn ranked_fixpoint(
         }
     }
 
-    drain_and_extract(q, &csrs, cand, support, &seeds, &rev_index, stats, threads)
+    drain_and_extract(q, &dense, &csrs, cand, support, &seeds, stats, threads)
 }
 
 /// The literal Fig. 2 fixpoint: rescan every match set until stable.
@@ -697,25 +716,17 @@ pub(crate) fn assemble(q: &Pattern, sets: Option<Vec<Vec<(NodeId, NodeId)>>>) ->
     };
     // Node matches = nodes appearing in surviving sets in the role dictated
     // by the pattern (sources of out-edges / targets of in-edges).
-    let mut node_sets: Vec<HashSet<NodeId>> = vec![HashSet::new(); q.node_count()];
+    // `MatchResult::new` sorts and dedups them.
+    let mut node_sets: Vec<Vec<NodeId>> = vec![Vec::new(); q.node_count()];
     for (ei, set) in sets.iter().enumerate() {
         let (u, t) = q.edge(gpv_pattern::PatternEdgeId(ei as u32));
-        for &(s, w) in set {
-            node_sets[u.index()].insert(s);
-            node_sets[t.index()].insert(w);
-        }
+        node_sets[u.index()].extend(set.iter().map(|&(s, _)| s));
+        node_sets[t.index()].extend(set.iter().map(|&(_, w)| w));
     }
-    if node_sets.iter().any(HashSet::is_empty) {
+    if node_sets.iter().any(Vec::is_empty) {
         return MatchResult::empty();
     }
-    MatchResult::new(
-        q,
-        node_sets
-            .into_iter()
-            .map(|s| s.into_iter().collect())
-            .collect(),
-        sets,
-    )
+    MatchResult::new(q, node_sets, sets)
 }
 
 #[cfg(test)]

@@ -1,21 +1,21 @@
 //! The fan-out half of the ranked `MatchJoin` kernel
 //! (`matchjoin::ranked_fixpoint`).
 //!
-//! Three kernel stages are pure per-edge work: building each merged set's
-//! CSR, computing initial support counters, and the final filter. With
-//! more than one worker they run as *(edge, chunk)* work units across OS
-//! threads (`std::thread::scope` — the build environment vendors no
-//! `rayon`). `chunk_units` splits each edge's pair set into chunks of at
-//! most `chunk` pairs:
+//! Three kernel stages are pure per-edge work over the compacted pairs:
+//! building each edge's reverse CSR, counting initial support, and the
+//! final filter. With more than one worker they run as *(edge, chunk)*
+//! work units across OS threads (`std::thread::scope` — the build
+//! environment vendors no `rayon`). `chunk_units` splits each edge's pair
+//! list into chunks of at most `chunk` pairs:
 //!
 //! * an edge that is **one unit** is built by
-//!   `matchjoin::build_edge_csr` and supported by
-//!   `matchjoin::edge_support`, exactly as the inline path does, so it
+//!   `matchjoin::build_edge_csr` and counted by
+//!   `matchjoin::count_support`, exactly as the inline path does, so it
 //!   pays for no count/stitch/atomic passes. When every edge is one unit
 //!   this is plain per-edge fan-out, with a speedup ceiling of `|Eq|`;
 //! * a **split** edge runs a two-pass chunked CSR build (per-chunk counts →
-//!   sequential prefix stitch → parallel scatter) and ranged support over
-//!   slices of the dense node domain with a deterministic counter merge.
+//!   sequential prefix stitch → parallel scatter), and its per-chunk
+//!   support counters are summed in chunk order.
 //!
 //! The chunk size is derived at execution from the merged set sizes
 //! ([`CostModel::parallel_chunk_pairs`](crate::cost::CostModel::parallel_chunk_pairs))
@@ -34,11 +34,10 @@ use crate::engine::EngineConfig;
 use crate::matchjoin::{self, merge_step, EdgeCsr, JoinError, JoinStats};
 use crate::plan::ExecStrategy;
 use crate::view::ViewExtensions;
-use gpv_graph::{BitSet, NodeId};
+use gpv_graph::BitSet;
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternEdgeId};
-use std::collections::HashMap;
-use std::ops::Deref;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -156,7 +155,8 @@ pub fn par_match_join(
     )
 }
 
-/// One *(edge, start, end)* work unit: a slice of an edge's merged set.
+/// One *(edge, start, end)* work unit: a slice of an edge's compacted
+/// pairs.
 pub(crate) type Unit = (usize, usize, usize);
 
 /// How many work units per edge the chunked build will produce at most,
@@ -166,24 +166,24 @@ pub(crate) type Unit = (usize, usize, usize);
 /// stay proportional to the machine.
 const MAX_UNITS_PER_EDGE_FACTOR: usize = 8;
 
-/// The fixed *(edge, chunk)* work-unit list for a merged set, edge-major.
-/// With one worker every edge is a single unit. Chunk boundaries are pure
-/// functions of each set's length, `chunk_pairs`, and `threads` — never of
-/// timing. The requested chunk size is floored so no
+/// The fixed *(edge, chunk)* work-unit list for the compacted sets,
+/// edge-major. With one worker every edge is a single unit. Chunk
+/// boundaries are pure functions of each set's length, `chunk_pairs`, and
+/// `threads` — never of timing. The requested chunk size is floored so no
 /// edge produces more than `threads × MAX_UNITS_PER_EDGE_FACTOR` units: a
 /// pinned chunk of 1 pair over a huge set must not allocate
 /// O(pairs × m) of per-chunk counters (each unit carries dense O(m)
 /// state), and unit counts beyond a small multiple of the worker count
 /// add stitch work without adding parallelism. An empty set still gets
 /// one (empty) unit so every edge produces a CSR.
-pub(crate) fn chunk_units<S: Deref<Target = [(NodeId, NodeId)]>>(
-    merged: &[S],
+pub(crate) fn chunk_units(
+    pairs: &[Vec<(u32, u32)>],
     chunk_pairs: usize,
     threads: usize,
 ) -> Vec<Unit> {
     let max_units = threads.max(1) * MAX_UNITS_PER_EDGE_FACTOR;
-    let mut units = Vec::with_capacity(merged.len());
-    for (ei, set) in merged.iter().enumerate() {
+    let mut units = Vec::with_capacity(pairs.len());
+    for (ei, set) in pairs.iter().enumerate() {
         if set.is_empty() || threads <= 1 {
             units.push((ei, 0, set.len()));
             continue;
@@ -209,22 +209,11 @@ fn unit_error(e: ParError, units: &[Unit]) -> JoinError {
     }
 }
 
-/// How many units each edge was split into.
-fn units_per_edge(units: &[Unit], ne: usize) -> Vec<usize> {
-    let mut parts = vec![0usize; ne];
-    for &(ei, ..) in units {
-        parts[ei] += 1;
-    }
-    parts
-}
-
 /// One chunk's contribution to a split edge's CSR, computed independently
 /// in pass 1 of the two-pass chunked build.
 struct CsrChunk {
-    /// Compacted `(src, tgt)` pairs, in input (merge) order.
-    pairs: Vec<(u32, u32)>,
-    /// Per-source pair counts over the dense domain.
-    fcnt: Vec<u32>,
+    /// The chunk's slice of the edge's compacted pairs.
+    range: Range<usize>,
     /// Per-target pair counts over the dense domain.
     rcnt: Vec<u32>,
     /// Dense ids occurring as sources in this chunk.
@@ -234,21 +223,17 @@ struct CsrChunk {
 }
 
 impl CsrChunk {
-    fn count(slice: &[(NodeId, NodeId)], index: &HashMap<NodeId, u32>, m: usize) -> Self {
+    fn count(pairs: &[(u32, u32)], range: Range<usize>, m: usize) -> Self {
         let mut c = CsrChunk {
-            pairs: Vec::with_capacity(slice.len()),
-            fcnt: vec![0u32; m],
+            range: range.clone(),
             rcnt: vec![0u32; m],
             srcs: BitSet::new(m),
             tgts: BitSet::new(m),
         };
-        for &(s, t) in slice {
-            let (cs, ct) = (index[&s], index[&t]);
-            c.pairs.push((cs, ct));
-            c.fcnt[cs as usize] += 1;
-            c.rcnt[ct as usize] += 1;
-            c.srcs.insert(cs as usize);
-            c.tgts.insert(ct as usize);
+        for &(s, t) in &pairs[range] {
+            c.rcnt[t as usize] += 1;
+            c.srcs.insert(s as usize);
+            c.tgts.insert(t as usize);
         }
         c
     }
@@ -260,17 +245,15 @@ enum Built {
     Part(CsrChunk),
 }
 
-/// A split edge after the prefix stitch: its offsets and endpoint sets,
-/// the per-chunk base cursors, and the payload buffers pass 2 scatters
-/// into.
+/// A split edge after the prefix stitch: its reverse offsets and endpoint
+/// sets, the per-chunk base cursors, and the payload buffer pass 2
+/// scatters into.
 struct Stitched {
-    fo: Vec<u32>,
     ro: Vec<u32>,
     srcs: BitSet,
     tgts: BitSet,
-    /// Per chunk: where each source/target slot starts for that chunk.
-    bases: Vec<(Vec<u32>, Vec<u32>)>,
-    ft: Vec<AtomicU32>,
+    /// Per chunk: where each target slot starts for that chunk.
+    bases: Vec<Vec<u32>>,
     rs: Vec<AtomicU32>,
 }
 
@@ -278,95 +261,87 @@ impl Stitched {
     /// Sums the chunk counts into CSR offsets and hands each chunk the
     /// cursors its predecessors left, in fixed chunk order.
     fn new(chunks: &[CsrChunk], m: usize) -> Self {
-        let mut fo = vec![0u32; m + 1];
         let mut ro = vec![0u32; m + 1];
         let mut srcs = BitSet::new(m);
         let mut tgts = BitSet::new(m);
         for c in chunks {
-            for v in 0..m {
-                fo[v + 1] += c.fcnt[v];
-                ro[v + 1] += c.rcnt[v];
+            for (o, &cnt) in ro[1..].iter_mut().zip(&c.rcnt) {
+                *o += cnt;
             }
             srcs.union_with(&c.srcs);
             tgts.union_with(&c.tgts);
         }
         for v in 0..m {
-            fo[v + 1] += fo[v];
             ro[v + 1] += ro[v];
         }
-        let (mut fcur, mut rcur) = (fo[..m].to_vec(), ro[..m].to_vec());
+        let mut cur = ro[..m].to_vec();
         let mut bases = Vec::with_capacity(chunks.len());
         for c in chunks {
-            bases.push((fcur.clone(), rcur.clone()));
-            for (cur, &cnt) in fcur.iter_mut().zip(&c.fcnt) {
-                *cur += cnt;
-            }
-            for (cur, &cnt) in rcur.iter_mut().zip(&c.rcnt) {
+            bases.push(cur.clone());
+            for (cur, &cnt) in cur.iter_mut().zip(&c.rcnt) {
                 *cur += cnt;
             }
         }
-        let n = fo[m] as usize;
+        let n = ro[m] as usize;
         Stitched {
-            fo,
             ro,
             srcs,
             tgts,
             bases,
-            ft: (0..n).map(|_| AtomicU32::new(0)).collect(),
             rs: (0..n).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
     /// Pass 2 for one chunk: writes its payloads at the slots its base
-    /// dictates. Slots are disjoint by construction (every (source,
+    /// dictates. Slots are disjoint by construction (every (target,
     /// occurrence) pair maps to exactly one chunk), so relaxed stores are
     /// race-free on *values* regardless of interleaving.
-    fn scatter(&self, k: usize, chunk: &CsrChunk) {
-        let (mut fcur, mut rcur) = self.bases[k].clone();
-        for &(s, t) in &chunk.pairs {
-            self.ft[fcur[s as usize] as usize].store(t, Ordering::Relaxed);
-            fcur[s as usize] += 1;
-            self.rs[rcur[t as usize] as usize].store(s, Ordering::Relaxed);
-            rcur[t as usize] += 1;
+    fn scatter(&self, k: usize, chunk: &CsrChunk, pairs: &[(u32, u32)]) {
+        let mut cur = self.bases[k].clone();
+        for &(s, t) in &pairs[chunk.range.clone()] {
+            self.rs[cur[t as usize] as usize].store(s, Ordering::Relaxed);
+            cur[t as usize] += 1;
         }
     }
 
-    /// The finished CSR: chunk pairs concatenated in chunk order reproduce
-    /// the input order, so the result is field-for-field identical to
+    /// The finished CSR: chunks scatter in input order within each target
+    /// row, so the result is field-for-field identical to
     /// [`matchjoin::build_edge_csr`] on the whole edge.
-    fn finish(self, chunks: Vec<CsrChunk>) -> EdgeCsr {
-        let unwrap = |v: Vec<AtomicU32>| v.into_iter().map(AtomicU32::into_inner).collect();
+    fn finish(self) -> EdgeCsr {
         EdgeCsr {
-            pairs: chunks.into_iter().flat_map(|c| c.pairs).collect(),
             srcs: self.srcs,
             tgts: self.tgts,
-            fwd: (self.fo, unwrap(self.ft)),
-            rev: (self.ro, unwrap(self.rs)),
+            rev: (
+                self.ro,
+                self.rs.into_iter().map(AtomicU32::into_inner).collect(),
+            ),
         }
     }
 }
 
 /// The kernel's CSR-build stage over `units` ([`chunk_units`]). Pass 1
 /// fans every unit across the workers: a whole edge runs
-/// [`matchjoin::build_edge_csr`], a split edge's chunk compacts its pair
-/// slice and counts per-source/per-target occurrences. Split edges then
-/// take a sequential prefix stitch ([`Stitched::new`]) and a parallel
-/// scatter of their chunks (pass 2).
-pub(crate) fn build_csrs<S: Deref<Target = [(NodeId, NodeId)]> + Sync>(
-    merged: &[S],
+/// [`matchjoin::build_edge_csr`], a split edge's chunk counts
+/// per-target occurrences and endpoint sets. Split edges then take a
+/// sequential prefix stitch ([`Stitched::new`]) and a parallel scatter of
+/// their chunks (pass 2).
+pub(crate) fn build_csrs(
+    pairs: &[Vec<(u32, u32)>],
     units: &[Unit],
-    index: &HashMap<NodeId, u32>,
     m: usize,
     threads: usize,
 ) -> Result<Vec<EdgeCsr>, JoinError> {
-    let ne = merged.len();
-    let parts = units_per_edge(units, ne);
+    let ne = pairs.len();
+    let mut parts = vec![0usize; ne];
+    for &(ei, ..) in units {
+        parts[ei] += 1;
+    }
     let built = par_map(units.len(), threads, |i| {
         let (ei, start, end) = units[i];
         if parts[ei] == 1 {
-            Built::Whole(matchjoin::build_edge_csr(&merged[ei], index, m))
+            Built::Whole(matchjoin::build_edge_csr(&pairs[ei], m))
         } else {
-            Built::Part(CsrChunk::count(&merged[ei][start..end], index, m))
+            Built::Part(CsrChunk::count(&pairs[ei], start..end, m))
         }
     })
     .map_err(|e| unit_error(e, units))?;
@@ -392,7 +367,7 @@ pub(crate) fn build_csrs<S: Deref<Target = [(NodeId, NodeId)]> + Sync>(
         stitched[ei]
             .as_ref()
             .expect("split edge")
-            .scatter(k, &chunks[ei][k]);
+            .scatter(k, &chunks[ei][k], &pairs[ei]);
     })
     .map_err(|e| match e {
         ParError::Panicked(i) => JoinError::WorkerPanicked(split[i].0),
@@ -402,108 +377,60 @@ pub(crate) fn build_csrs<S: Deref<Target = [(NodeId, NodeId)]> + Sync>(
     Ok(whole
         .into_iter()
         .zip(stitched)
-        .zip(chunks)
-        .map(|((w, st), cs)| match st {
-            Some(st) => st.finish(cs),
+        .map(|(w, st)| match st {
+            Some(st) => st.finish(),
             None => w.expect("whole edge"),
         })
         .collect())
 }
 
-/// One edge's support counters plus its zero-support seed list — the
-/// per-edge output shape of [`matchjoin::edge_support`].
+/// One edge's support counters plus its zero-support seed list.
 pub(crate) type SupportSeeds = (Vec<u32>, Vec<u32>);
 
-/// The kernel's support stage, by edge. A whole edge runs
-/// [`matchjoin::edge_support`]; a split edge is computed over
-/// *(edge, node-range)* units that each own a disjoint slice `[lo, hi)` of
-/// the dense node domain, so the counter merge is pure concatenation in
-/// range order — support vectors and seed lists come out identical to the
-/// per-edge computation (which iterates candidates in ascending dense
-/// order).
-///
-/// The range size is derived from the **node domain** (`m`), not taken
-/// verbatim from `chunk`: the chunk is a pair-count budget, and on dense
-/// extensions (`chunk ≥ m`) using it as a node range would collapse this
-/// stage back to one unit per edge. The domain is split so every split
-/// edge yields ~2 units per worker, capped *below* by `chunk` when the
-/// caller pinned something finer (the equivalence tests sweep range 1
-/// through it).
+/// The kernel's support stage over `units`: each unit counts
+/// [`matchjoin::count_support`] over its slice of the edge's compacted
+/// pairs. A split edge sums its chunk counters in chunk order, so the
+/// counters are identical to one pass over the whole edge. The seeds are
+/// each edge's zero-support source candidates in ascending dense order
+/// ([`matchjoin::zero_support`]).
 pub(crate) fn supports(
     q: &Pattern,
-    csrs: &[EdgeCsr],
+    pairs: &[Vec<(u32, u32)>],
     cand: &[BitSet],
     m: usize,
     units: &[Unit],
     threads: usize,
-    chunk: usize,
 ) -> Result<Vec<SupportSeeds>, JoinError> {
-    let ne = csrs.len();
-    let parts = units_per_edge(units, ne);
-    let range = m.div_ceil(threads.max(1) * 2).max(1).min(chunk.max(1));
-    let mut ranges: Vec<Unit> = Vec::with_capacity(ne);
-    for (ei, &p) in parts.iter().enumerate() {
-        if p == 1 {
-            ranges.push((ei, 0, m));
-            continue;
-        }
-        let mut lo = 0;
-        while lo < m {
-            let hi = (lo + range).min(m);
-            ranges.push((ei, lo, hi));
-            lo = hi;
-        }
-    }
-    let ranged = units_per_edge(&ranges, ne);
-
-    let computed = par_map(ranges.len(), threads, |i| {
-        let (ei, lo, hi) = ranges[i];
-        let (u, t) = q.edge(PatternEdgeId(ei as u32));
-        let (cand_u, cand_t) = (&cand[u.index()], &cand[t.index()]);
-        if ranged[ei] == 1 {
-            return matchjoin::edge_support(&csrs[ei].fwd, cand_u, cand_t, m);
-        }
-        let (fo, ft) = &csrs[ei].fwd;
-        let mut sup = vec![0u32; hi - lo];
-        let mut seeds = Vec::new();
-        for v in lo..hi {
-            if !cand_u.contains(v) {
-                continue;
-            }
-            let (a, b) = (fo[v] as usize, fo[v + 1] as usize);
-            let cnt = ft[a..b]
-                .iter()
-                .filter(|&&t2| cand_t.contains(t2 as usize))
-                .count() as u32;
-            sup[v - lo] = cnt;
-            if cnt == 0 {
-                seeds.push(v as u32);
-            }
-        }
-        (sup, seeds)
+    let counted = par_map(units.len(), threads, |i| {
+        let (ei, start, end) = units[i];
+        let (_, t) = q.edge(PatternEdgeId(ei as u32));
+        matchjoin::count_support(pairs[ei][start..end].iter().copied(), &cand[t.index()], m)
     })
-    .map_err(|e| unit_error(e, &ranges))?;
+    .map_err(|e| unit_error(e, units))?;
 
-    // Ranges are edge-major: a split edge's ranges land in its last slot.
-    let mut out: Vec<SupportSeeds> = Vec::with_capacity(ne);
-    for (&(ei, lo, hi), (sup, seeds)) in ranges.iter().zip(computed) {
-        if ranged[ei] == 1 {
-            out.push((sup, seeds));
-            continue;
+    // Units are edge-major and every edge's first unit starts at 0.
+    let mut support: Vec<Vec<u32>> = Vec::with_capacity(pairs.len());
+    for (&(_, start, _), c) in units.iter().zip(counted) {
+        match support.last_mut() {
+            Some(sum) if start > 0 => sum.iter_mut().zip(c).for_each(|(a, b)| *a += b),
+            _ => support.push(c),
         }
-        if lo == 0 {
-            out.push((vec![0u32; m], Vec::new()));
-        }
-        let (full, all) = out.last_mut().expect("edge-major ranges");
-        full[lo..hi].copy_from_slice(&sup);
-        all.extend(seeds);
     }
-    Ok(out)
+    Ok(support
+        .into_iter()
+        .enumerate()
+        .map(|(ei, sup)| {
+            let (u, _) = q.edge(PatternEdgeId(ei as u32));
+            let seeds = matchjoin::zero_support(&sup, &cand[u.index()]).collect();
+            (sup, seeds)
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpv_graph::NodeId;
 
     #[test]
     fn par_map_preserves_order() {
@@ -585,10 +512,24 @@ mod tests {
     #[test]
     fn one_worker_keeps_every_edge_whole() {
         let sets = vec![scrambled_pairs(97, 3), Vec::new(), scrambled_pairs(10, 5)];
+        let dense = matchjoin::compact_index(&sets);
         assert_eq!(
-            chunk_units(&sets, 1, 1),
+            chunk_units(&dense.pairs, 1, 1),
             vec![(0, 0, 97), (1, 0, 0), (2, 0, 10)]
         );
+    }
+
+    /// Compaction maps each endpoint once, in first-occurrence order, and
+    /// the dense ids round-trip through `rev_index`.
+    #[test]
+    fn compaction_is_first_occurrence_and_round_trips() {
+        let sets = vec![
+            vec![(NodeId(90), NodeId(7)), (NodeId(7), NodeId(90))],
+            vec![(NodeId(3), NodeId(90))],
+        ];
+        let dense = matchjoin::compact_index(&sets);
+        assert_eq!(dense.rev_index, vec![NodeId(90), NodeId(7), NodeId(3)]);
+        assert_eq!(dense.pairs, vec![vec![(0, 1), (1, 0)], vec![(2, 0)]]);
     }
 
     /// The CSR stage must be field-for-field identical to the per-edge
@@ -603,31 +544,30 @@ mod tests {
             Vec::new(),
             scrambled_pairs(1, 7),
         ];
-        let (index, _) = matchjoin::compact_index(&sets);
-        let m = index.len();
-        let baseline: Vec<EdgeCsr> = sets
+        let dense = matchjoin::compact_index(&sets);
+        let m = dense.rev_index.len();
+        let baseline: Vec<EdgeCsr> = dense
+            .pairs
             .iter()
-            .map(|s| matchjoin::build_edge_csr(s, &index, m))
+            .map(|p| matchjoin::build_edge_csr(p, m))
             .collect();
         for chunk in [1usize, 3, 16, 64, 1000] {
             for threads in [1usize, 2, 4, 8] {
-                let units = chunk_units(&sets, chunk, threads);
-                let built = build_csrs(&sets, &units, &index, m, threads).unwrap();
+                let units = chunk_units(&dense.pairs, chunk, threads);
+                let built = build_csrs(&dense.pairs, &units, m, threads).unwrap();
                 for (ei, (a, b)) in baseline.iter().zip(&built).enumerate() {
-                    assert_eq!(a.pairs, b.pairs, "pairs e{ei} chunk={chunk} t={threads}");
                     assert_eq!(a.srcs, b.srcs, "srcs e{ei}");
                     assert_eq!(a.tgts, b.tgts, "tgts e{ei}");
-                    assert_eq!(a.fwd, b.fwd, "fwd e{ei} chunk={chunk} t={threads}");
                     assert_eq!(a.rev, b.rev, "rev e{ei} chunk={chunk} t={threads}");
                 }
             }
         }
     }
 
-    /// Ranged support must concatenate to exactly the per-edge counters
-    /// and seed lists (ascending dense order), for every range size.
+    /// Chunked support must sum to exactly the one-pass counters and seed
+    /// lists (ascending dense order), for every chunk size.
     #[test]
-    fn ranged_support_matches_sequential() {
+    fn chunked_support_matches_sequential() {
         use gpv_pattern::PatternBuilder;
         let mut b = PatternBuilder::new();
         let u = b.node_labeled("A");
@@ -635,19 +575,23 @@ mod tests {
         b.edge(u, v);
         let q = b.build().unwrap();
         let sets = vec![scrambled_pairs(80, 11)];
-        let (index, _) = matchjoin::compact_index(&sets);
-        let m = index.len();
-        let csrs: Vec<EdgeCsr> = sets
-            .iter()
-            .map(|s| matchjoin::build_edge_csr(s, &index, m))
-            .collect();
-        let cand = matchjoin::build_candidates(&q, &csrs, m).expect("nonempty");
-        let (u, t) = q.edge(PatternEdgeId(0));
-        let baseline = matchjoin::edge_support(&csrs[0].fwd, &cand[u.index()], &cand[t.index()], m);
-        for range in [1usize, 2, 7, 64, 1000] {
-            let units = chunk_units(&sets, range, 4);
-            let ranged = supports(&q, &csrs, &cand, m, &units, 4, range).unwrap();
-            assert_eq!(ranged[0], baseline, "range={range}");
+        let dense = matchjoin::compact_index(&sets);
+        let m = dense.rev_index.len();
+        let csrs = vec![matchjoin::build_edge_csr(&dense.pairs[0], m)];
+        let mut cand = matchjoin::build_candidates(&q, &csrs, m).expect("nonempty");
+        // Drop some targets so support counts are partial and some
+        // sources lose all their support.
+        for w in (0..m).filter(|w| w % 4 != 0) {
+            cand[1].remove(w);
+        }
+        let pairs = dense.pairs[0].iter().copied();
+        let sup = matchjoin::count_support(pairs, &cand[1], m);
+        let seeds: Vec<u32> = matchjoin::zero_support(&sup, &cand[0]).collect();
+        assert!(!seeds.is_empty(), "fixture needs a zero-support source");
+        for chunk in [1usize, 2, 7, 64, 1000] {
+            let units = chunk_units(&dense.pairs, chunk, 4);
+            let chunked = supports(&q, &dense.pairs, &cand, m, &units, 4).unwrap();
+            assert_eq!(chunked[0], (sup.clone(), seeds.clone()), "chunk={chunk}");
         }
     }
 
@@ -666,14 +610,21 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let sets = vec![scrambled_pairs(10, 3), offset(scrambled_pairs(40, 5))];
-        let (index, _) = matchjoin::compact_index(&sets);
-        // An index missing one of edge 1's nodes: its compaction panics on
-        // the lookup.
-        let mut broken = index.clone();
-        broken.remove(&sets[1][37].0);
-        let m = index.len();
-        let units = chunk_units(&sets, 8, 4);
-        let err = build_csrs(&sets, &units, &broken, m, 4).unwrap_err();
+        let mut dense = matchjoin::compact_index(&sets);
+        let m = dense.rev_index.len();
+        // A remap missing one of edge 1's nodes: every occurrence of it
+        // comes out as the unmapped sentinel, outside the dense domain, so
+        // the CSR build panics on it.
+        let lost = dense.pairs[1][37].0;
+        for p in &mut dense.pairs[1] {
+            for v in [&mut p.0, &mut p.1] {
+                if *v == lost {
+                    *v = u32::MAX;
+                }
+            }
+        }
+        let units = chunk_units(&dense.pairs, 8, 4);
+        let err = build_csrs(&dense.pairs, &units, m, 4).unwrap_err();
         std::panic::set_hook(hook);
         assert_eq!(err, JoinError::WorkerPanicked(1), "edge index, not unit");
     }

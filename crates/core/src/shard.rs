@@ -115,6 +115,14 @@ pub enum ShardError {
         /// Fingerprint found.
         actual: u64,
     },
+    /// A stored extension references a node id at or above the graph's
+    /// node count (from `meta.json`), so it cannot belong to that graph.
+    NodeOutOfRange {
+        /// The offending node id.
+        node: u32,
+        /// The graph's node count.
+        nodes: usize,
+    },
 }
 
 impl std::fmt::Display for ShardError {
@@ -138,6 +146,10 @@ impl std::fmt::Display for ShardError {
             ShardError::GraphMismatch { expected, actual } => write!(
                 f,
                 "store was saved for graph {expected:#x}, not {actual:#x}"
+            ),
+            ShardError::NodeOutOfRange { node, nodes } => write!(
+                f,
+                "stored extension references node {node} but the graph has {nodes} nodes"
             ),
         }
     }
@@ -227,6 +239,10 @@ pub struct ShardContents {
     pub graph_fingerprint: u64,
     /// `(stable id, definition, frozen extension)` per view, in file order.
     pub views: Vec<(u64, ViewDef, CompactView)>,
+    /// One past the largest node id any view stores — pair endpoint or
+    /// node-set member — or 0 when none: bounds the ids against a graph's
+    /// node count without another pass over the columns.
+    pub node_span: usize,
 }
 
 /// Bounds-checked little-endian reader over a caller-provided buffer —
@@ -310,6 +326,10 @@ pub fn decode_shard(bytes: &[u8]) -> Result<ShardContents, ShardError> {
     }
 
     let mut views = Vec::new();
+    // One past a column's largest id. Each column was just read, so this
+    // pass runs in cache.
+    let mut node_span = 0usize;
+    let span = |col: &[u32]| col.iter().copied().max().map_or(0, |v| v as usize + 1);
     let mut last_id: Option<u64> = None;
     for _ in 0..view_count {
         let id = c.u64()?;
@@ -334,7 +354,9 @@ pub fn decode_shard(bytes: &[u8]) -> Result<ShardContents, ShardError> {
         let ne = c.u32()? as usize;
         let node_offsets = c.u32s(np + 1)?;
         let nn = *node_offsets.last().expect("np + 1 >= 1") as usize;
-        let nodes: Vec<NodeId> = c.u32s(nn)?.into_iter().map(NodeId).collect();
+        let raw_nodes = c.u32s(nn)?;
+        node_span = node_span.max(span(&raw_nodes));
+        let nodes: Vec<NodeId> = raw_nodes.into_iter().map(NodeId).collect();
         let edge_offsets = c.u32s(ne + 1)?;
         let pair_count = *edge_offsets.last().expect("ne + 1 >= 1") as usize;
         let raw_pairs = c.u32s(
@@ -342,6 +364,7 @@ pub fn decode_shard(bytes: &[u8]) -> Result<ShardContents, ShardError> {
                 .checked_mul(2)
                 .ok_or(ShardError::Malformed("pair count overflows".into()))?,
         )?;
+        node_span = node_span.max(span(&raw_pairs));
         let pairs: Vec<(NodeId, NodeId)> = raw_pairs
             .chunks_exact(2)
             .map(|p| (NodeId(p[0]), NodeId(p[1])))
@@ -359,6 +382,7 @@ pub fn decode_shard(bytes: &[u8]) -> Result<ShardContents, ShardError> {
     Ok(ShardContents {
         graph_fingerprint,
         views,
+        node_span,
     })
 }
 

@@ -376,7 +376,11 @@ impl ViewStore {
     /// Loads a store saved by [`Self::save_to_dir`]: reads `meta.json`,
     /// then decodes every shard file (validating magic, version, checksum
     /// and structure — a corrupt file is a clean error, never a panic) into
-    /// a store with the saved shard count and stable ids. Views are
+    /// a store with the saved shard count and stable ids. Every stored node
+    /// id must be below `meta.json`'s graph node count
+    /// ([`ShardError::NodeOutOfRange`]; a meta without graph stats is
+    /// refused too), so no executor sizes a dense per-node structure by a
+    /// forged id. Views are
     /// stamped with epochs `1..=n` in file order, and the store starts at
     /// version `n`.
     pub fn load_from_dir(dir: impl AsRef<Path>) -> Result<Self, ShardError> {
@@ -386,6 +390,13 @@ impl ViewStore {
         if meta.format_version != SHARD_VERSION {
             return Err(ShardError::BadVersion(meta.format_version));
         }
+        // Executors size dense per-node structures by the largest stored
+        // id, so every id must be bounded by the graph's node count.
+        let nodes = meta
+            .graph_stats
+            .as_ref()
+            .map(|s| s.nodes)
+            .ok_or_else(|| ShardError::Malformed("meta.json carries no graph stats".into()))?;
         let mut views: Vec<Arc<StoredView>> = Vec::new();
         for i in 0..meta.shard_count as usize {
             let bytes = std::fs::read(dir.join(format!("shard-{i:04}.bin")))?;
@@ -395,6 +406,10 @@ impl ViewStore {
                     expected: meta.graph_fingerprint,
                     actual: contents.graph_fingerprint,
                 });
+            }
+            if contents.node_span > nodes {
+                let node = (contents.node_span - 1) as u32;
+                return Err(ShardError::NodeOutOfRange { node, nodes });
             }
             for (id, def, ext) in contents.views {
                 let epoch = views.len() as u64 + 1;

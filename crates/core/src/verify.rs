@@ -689,6 +689,7 @@ pub fn classify_shard_error(e: &ShardError) -> DiagCode {
         ShardError::BadChecksum { .. } => DiagCode::ShardChecksumMismatch,
         ShardError::Truncated { .. } => DiagCode::ShardTruncated,
         ShardError::GraphMismatch { .. } => DiagCode::StoreGraphMismatch,
+        ShardError::NodeOutOfRange { .. } => DiagCode::StoreNodeOutOfRange,
         ShardError::Malformed(msg) => {
             if msg.contains("offsets") {
                 DiagCode::ShardBadOffsets
@@ -719,8 +720,9 @@ fn shard_error_diag(e: &ShardError, context: String) -> Diagnostic {
 }
 
 /// Validates one decoded shard's contents against the directory header:
-/// graph fingerprint agreement, id watermark, and (when the header carries
-/// graph stats) node-id range over every materialized node and pair.
+/// graph fingerprint agreement, id watermark, and node-id range over every
+/// materialized node and pair (against the header's graph stats; a header
+/// without them is reported by [`check_store_dir`]).
 fn check_shard_contents(
     contents: &ShardContents,
     meta: &StoreMeta,
@@ -738,7 +740,6 @@ fn check_shard_contents(
             file.to_string(),
         ));
     }
-    let node_bound = meta.graph_stats.as_ref().map(|s| s.nodes);
     for (id, _def, ext) in &contents.views {
         if *id >= meta.next_id {
             out.push(Diagnostic::new(
@@ -751,19 +752,10 @@ fn check_shard_contents(
                 format!("{file} view id {id}"),
             ));
         }
-        if let Some(n) = node_bound {
-            let bad_pair = ext
-                .all_pairs()
-                .iter()
-                .flat_map(|&(a, b)| [a, b])
-                .find(|v| v.index() >= n);
-            if let Some(v) = bad_pair {
-                out.push(Diagnostic::new(
-                    DiagCode::StoreNodeOutOfRange,
-                    Severity::Error,
-                    format!("materialized pair references node {v} but the graph has {n} nodes"),
-                    format!("{file} view id {id}"),
-                ));
+        if let Some(nodes) = meta.graph_stats.as_ref().map(|s| s.nodes) {
+            if let Some(v) = ext.max_node().filter(|v| v.index() >= nodes) {
+                let e = ShardError::NodeOutOfRange { node: v.0, nodes };
+                out.push(shard_error_diag(&e, format!("{file} view id {id}")));
             }
         }
     }
@@ -812,6 +804,14 @@ pub fn check_store_dir(dir: impl AsRef<Path>) -> Vec<Diagnostic> {
             "meta.json".to_string(),
         ));
         return out;
+    }
+    if meta.graph_stats.is_none() {
+        out.push(Diagnostic::new(
+            DiagCode::StoreMetaInvalid,
+            Severity::Error,
+            "meta.json carries no graph stats, so stored node ids cannot be bounded".to_string(),
+            "meta.json".to_string(),
+        ));
     }
 
     let mut all_ids: Vec<u64> = Vec::new();
@@ -923,21 +923,11 @@ pub fn check_snapshot(snap: &StoreSnapshot, g: Option<&DataGraph>) -> Vec<Diagno
                 format!("snapshot v{}", snap.version),
             ));
         }
-        let n = g.node_count();
+        let nodes = g.node_count();
         for v in views {
-            if let Some(bad) = v
-                .ext
-                .all_pairs()
-                .iter()
-                .flat_map(|&(a, b)| [a, b])
-                .find(|x| x.index() >= n)
-            {
-                out.push(Diagnostic::new(
-                    DiagCode::StoreNodeOutOfRange,
-                    Severity::Error,
-                    format!("materialized pair references node {bad} but the graph has {n} nodes"),
-                    format!("view id {}", v.id),
-                ));
+            if let Some(bad) = v.ext.max_node().filter(|v| v.index() >= nodes) {
+                let e = ShardError::NodeOutOfRange { node: bad.0, nodes };
+                out.push(shard_error_diag(&e, format!("view id {}", v.id)));
             }
             if ViewFootprint::of(&v.def, g) == ViewFootprint::Never && !v.ext.is_empty() {
                 out.push(Diagnostic::new(

@@ -1033,7 +1033,8 @@ fn check_command_passes_clean_store_and_flags_corruption() {
         .map(|i| dir.join(format!("shard-{i:04}.bin")))
         .find(|p| std::fs::metadata(p).is_ok_and(|m| m.len() > 40))
         .expect("a nonempty shard file");
-    let mut bytes = std::fs::read(&shard).unwrap();
+    let pristine = std::fs::read(&shard).unwrap();
+    let mut bytes = pristine.clone();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
     std::fs::write(&shard, bytes).unwrap();
@@ -1046,5 +1047,24 @@ fn check_command_passes_clean_store_and_flags_corruption() {
     let s = String::from_utf8_lossy(&bad.stdout);
     assert!(s.contains("\"code\":\"GPV054\""), "{s}");
     assert!(s.contains("shard-checksum-mismatch"), "{s}");
+
+    // Stored node ids past meta.json's node count: reported as GPV064
+    // from the header alone, without `--graph`.
+    std::fs::write(&shard, pristine).unwrap();
+    let meta_path = dir.join("meta.json");
+    let mut meta: graph_views::views::StoreMeta =
+        serde_json::from_str(&std::fs::read_to_string(&meta_path).unwrap()).unwrap();
+    meta.graph_stats.as_mut().expect("saved with stats").nodes = 1;
+    std::fs::write(&meta_path, serde_json::to_string(&meta).unwrap()).unwrap();
+    let out_of_range = gpv()
+        .args(["check", "--store-dir", dir.to_str().unwrap(), "--json"])
+        .output()
+        .unwrap();
+    assert!(
+        !out_of_range.status.success(),
+        "out-of-range ids fail the exit"
+    );
+    let s = String::from_utf8_lossy(&out_of_range.stdout);
+    assert!(s.contains("\"code\":\"GPV064\""), "{s}");
     std::fs::remove_dir_all(&dir).ok();
 }

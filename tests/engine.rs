@@ -14,12 +14,12 @@ use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["A", "B", "C", "D"];
 
-/// Thread counts the chunked-equivalence sweep exercises. CI widens the
-/// matrix through `GPV_TEST_THREADS` (the counts are explicit worker
+/// Thread counts a chunked-equivalence sweep exercises: `base`, widened
+/// in CI through `GPV_TEST_THREADS` (the counts are explicit worker
 /// counts, not `available_parallelism`, so they fan out real threads even
 /// on 1-core runners).
-fn sweep_threads() -> Vec<usize> {
-    let mut ts = vec![1usize, 2, 4, 8];
+fn sweep_threads(base: &[usize]) -> Vec<usize> {
+    let mut ts = base.to_vec();
     if let Ok(v) = std::env::var("GPV_TEST_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             if !ts.contains(&n) {
@@ -33,6 +33,46 @@ fn sweep_threads() -> Vec<usize> {
 fn arb_graph() -> impl Strategy<Value = DataGraph> {
     (5usize..60, 10usize..150, any::<u64>())
         .prop_map(|(n, m, seed)| random_graph(n, m, &LABELS, seed))
+}
+
+/// Nodes in a sparse-id graph: the labelled nodes sit at scattered ids
+/// among this many isolated, unlabelled ones.
+const SPARSE_NODES: usize = 200_000;
+
+/// A graph of at least [`SPARSE_NODES`] nodes whose `k` labelled nodes sit
+/// at scattered, non-contiguous ids spread over the whole range (random
+/// gaps of at least 2, averaging `SPARSE_NODES / k`), joined by up to `m`
+/// random edges; every other node is isolated and unlabelled.
+fn sparse_graph(k: usize, m: usize, seed: u64) -> DataGraph {
+    let mut x = seed | 1;
+    let mut next = move || {
+        // xorshift64
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x as usize
+    };
+    let mut ids = Vec::with_capacity(k);
+    let mut at = 0;
+    for _ in 0..k {
+        at += 2 + next() % (2 * SPARSE_NODES / k);
+        ids.push(at);
+    }
+    let mut labels: Vec<Option<&str>> = vec![None; SPARSE_NODES.max(at + 1)];
+    for &id in &ids {
+        labels[id] = Some(LABELS[next() % LABELS.len()]);
+    }
+    let mut b = GraphBuilder::new();
+    for l in labels {
+        b.add_node(l);
+    }
+    for _ in 0..m {
+        let (u, v) = (ids[next() % k], ids[next() % k]);
+        if u != v {
+            b.add_edge(NodeId(u as u32), NodeId(v as u32));
+        }
+    }
+    b.build()
 }
 
 fn arb_query() -> impl Strategy<Value = Pattern> {
@@ -139,7 +179,7 @@ proptest! {
         prop_assert_eq!(&baseline, &match_pattern(&q, &g));
         // Chunk sizes: zero and degenerate (0, 1), small odd (3), and far
         // beyond any merged set in these graphs (1 << 20).
-        for threads in sweep_threads() {
+        for threads in sweep_threads(&[1, 2, 4, 8]) {
             for chunk_pairs in [0usize, 1, 3, 1 << 20] {
                 let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
                     chunk_pairs: Some(chunk_pairs),
@@ -379,6 +419,47 @@ fn cheap_scan_calibration_emits_mixed_sources() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Sparse node ids: the kernel's dense remap is sized by the largest id,
+    /// not by the few nodes the join touches. On a graph of 200k mostly
+    /// isolated nodes with labelled nodes at scattered ids, the ranked
+    /// answer equals `NaiveFixpoint` and `match_pattern`, and the chunked
+    /// kernel reproduces the sequential answer *and* `JoinStats` for every
+    /// threads × chunk size.
+    #[test]
+    fn chunked_kernel_on_sparse_ids_matches_oracles(
+        k in 6usize..32,
+        m in 40usize..240,
+        gseed in any::<u64>(),
+        q in arb_query(),
+        vseed in any::<u64>(),
+    ) {
+        let g = sparse_graph(k, m, gseed);
+        let views = covering_views(std::slice::from_ref(&q), 3, vseed);
+        let direct = match_pattern(&q, &g);
+        let mut engine = QueryEngine::materialize(views, &g);
+        let mut run = |exec: ExecStrategy, chunk_pairs: Option<usize>| {
+            engine.set_config(EngineConfig {
+                force_exec: Some(exec),
+                chunk_pairs,
+                ..EngineConfig::default()
+            });
+            let plan = engine.plan(&q);
+            assert!(!plan.needs_graph(), "covering views contain q: {plan}");
+            engine.execute(&q, &plan, None).unwrap()
+        };
+        let (ranked, stats) = run(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp), None);
+        prop_assert_eq!(&ranked, &direct);
+        let (naive, _) = run(ExecStrategy::Sequential(JoinStrategy::NaiveFixpoint), None);
+        prop_assert_eq!(&naive, &direct);
+        for threads in sweep_threads(&[1, 2, 4]) {
+            for chunk_pairs in [0usize, 1, 3, 1 << 20] {
+                let (r, s) = run(ExecStrategy::Parallel { threads }, Some(chunk_pairs));
+                prop_assert_eq!(&r, &ranked, "threads={} chunk_pairs={}", threads, chunk_pairs);
+                prop_assert_eq!(s, stats, "threads={} chunk_pairs={}", threads, chunk_pairs);
+            }
+        }
+    }
 
     /// Scenario-driven differential sweep: a `Scenario` sampled from a
     /// random (master seed, index) pair bundles every knob — graph source,

@@ -2,13 +2,13 @@
 //! saved to disk and reloaded must serve **bit-identical** answers to the
 //! boxed `match_pattern` ground truth across every query mode × executor
 //! the planner can pick (and derived or pinned chunk sizes), and corrupt
-//! shard files must load
-//! as clean errors — never panics — in both debug and release builds.
+//! shard files (or node ids past the graph's node count) must load as
+//! clean errors — never panics — in both debug and release builds.
 
 use gpv_generator::{covering_views, random_graph, random_pattern, PatternShape};
 use graph_views::prelude::*;
 use graph_views::views::store::ViewStore;
-use graph_views::views::{CompactView, ExecStrategy, ViewService};
+use graph_views::views::{CompactView, ExecStrategy, ShardError, StoreMeta, ViewService};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -146,6 +146,41 @@ fn corrupt_shard_files_fail_cleanly() {
 
     // Restore: pristine still loads after the abuse.
     std::fs::write(&shard, &pristine).unwrap();
+    let store = ViewStore::load_from_dir(&dir).unwrap();
+
+    // Node ids past the graph: a meta.json whose node count sits exactly at
+    // the largest stored id, and one with no graph stats at all, must both
+    // be refused (executors size dense per-node structures by the largest
+    // id, so an unbounded id must never load).
+    let max_id = store
+        .snapshot()
+        .views()
+        .iter()
+        .filter_map(|v| v.ext.max_node())
+        .max()
+        .expect("a nonempty extension")
+        .0;
+    let meta_path = dir.join("meta.json");
+    let meta_raw = std::fs::read_to_string(&meta_path).unwrap();
+    let mut meta: StoreMeta = serde_json::from_str(&meta_raw).unwrap();
+    meta.graph_stats.as_mut().expect("saved with stats").nodes = max_id as usize;
+    std::fs::write(&meta_path, serde_json::to_string(&meta).unwrap()).unwrap();
+    match ViewStore::load_from_dir(&dir) {
+        Err(ShardError::NodeOutOfRange { node, nodes }) => {
+            assert_eq!((node, nodes), (max_id, max_id as usize));
+        }
+        other => panic!(
+            "id {max_id} past the node count must be refused: {:?}",
+            other.err()
+        ),
+    }
+    meta.graph_stats = None;
+    std::fs::write(&meta_path, serde_json::to_string(&meta).unwrap()).unwrap();
+    assert!(
+        ViewStore::load_from_dir(&dir).is_err(),
+        "a meta.json without graph stats cannot bound node ids"
+    );
+    std::fs::write(&meta_path, &meta_raw).unwrap();
     assert!(ViewStore::load_from_dir(&dir).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }

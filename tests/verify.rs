@@ -1,8 +1,8 @@
 //! Integrity-checker contract tests: `check_store_dir` must (a) pass a
 //! freshly saved store with zero findings, (b) map every corruption class
 //! — magic, version, checksum, truncation, CSR offsets, pair sort order,
-//! intern table, pattern JSON, id ordering, meta.json, graph fingerprint —
-//! to a *distinct* stable `GPV0xx` code, and (c) never report an
+//! intern table, pattern JSON, id ordering, meta.json, graph fingerprint,
+//! node-id range — to a *distinct* stable `GPV0xx` code, and (c) never report an
 //! error-severity diagnostic for any scenario the generator can sample
 //! (the false-positive pin: the verifier passes run inside the
 //! differential fuzz harness on every iteration, so a spurious error
@@ -13,7 +13,7 @@ use graph_views::prelude::*;
 use graph_views::views::store::ViewStore;
 use graph_views::views::{
     check_snapshot, check_store_dir, has_errors, lint_query, lint_views, verify_plan, DiagCode,
-    Diagnostic, Severity,
+    Diagnostic, Severity, ShardError,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -248,6 +248,24 @@ fn each_corruption_class_has_a_distinct_code() {
         },
         DiagCode::StoreGraphMismatch,
     );
+    case(
+        "node-range",
+        &|b| {
+            // The second pair's target, far past the 5-node graph; the
+            // pair set stays strictly sorted.
+            b[f.pairs + 12..f.pairs + 16].copy_from_slice(&u32::MAX.to_le_bytes());
+            forge_checksum(b);
+        },
+        DiagCode::StoreNodeOutOfRange,
+    );
+    // The last case's shard is still on disk: load refuses the forged id
+    // cleanly, before any executor could size a dense remap by it.
+    match ViewStore::load_from_dir(&dir) {
+        Err(ShardError::NodeOutOfRange { node, nodes }) => {
+            assert_eq!((node, nodes), (u32::MAX, 5));
+        }
+        other => panic!("forged node id must be refused, got {:?}", other.err()),
+    }
 
     // meta.json corruption classes live outside the shard bytes.
     std::fs::write(dir.join("shard-0000.bin"), &clean).unwrap();
