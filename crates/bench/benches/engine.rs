@@ -40,31 +40,6 @@ fn bench(c: &mut Criterion) {
     g.bench_function("MatchJoin_par4", |b| {
         b.iter(|| std::hint::black_box(par_match_join(&s.query, &sel.plan, &s.ext, 4).unwrap()))
     });
-    // The kernel at 4 workers with the largest merged set split into
-    // (edge, chunk) units — the series that separates from `par4` when
-    // cores outnumber the query's edges.
-    let max_edge = sel
-        .plan
-        .lambda
-        .iter()
-        .filter_map(|entries| {
-            entries
-                .iter()
-                .map(|r| s.ext.edge_set(r.view, r.edge).len())
-                .min()
-        })
-        .max()
-        .unwrap_or(1);
-    let chunked = engine.clone().with_config(EngineConfig {
-        chunk_pairs: Some((max_edge / 4).max(1)),
-        force_selection: Some(SelectionMode::Minimum),
-        force_exec: Some(ExecStrategy::Parallel { threads: 4 }),
-        ..EngineConfig::default()
-    });
-    let chunked_plan = chunked.plan(&s.query);
-    g.bench_function("MatchJoin_par4_chunked", |b| {
-        b.iter(|| std::hint::black_box(chunked.execute(&s.query, &chunked_plan, None).unwrap()))
-    });
     g.bench_function("plan_and_execute", |b| {
         b.iter(|| {
             let plan = engine.plan(&s.query);

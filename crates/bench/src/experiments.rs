@@ -14,7 +14,7 @@ use gpv_generator::{
     amazon, amazon_predicate_pool, citation, citation_predicate_pool, covering_bounded_views,
     covering_views, densification_graph, random_graph, random_pattern, random_pattern_with_preds,
     uniform_bounded_pattern, uniform_bounded_pattern_with_preds, youtube, youtube_predicate_pool,
-    ExecKnob, GraphSource, PatternShape, QueryMode, Scenario, WeightsKnob, DEFAULT_ALPHABET,
+    PatternShape, QueryMode, Scenario, DEFAULT_ALPHABET,
 };
 use gpv_graph::DataGraph;
 use gpv_matching::bounded::bmatch_pattern;
@@ -104,6 +104,13 @@ fn secs(f: impl FnOnce()) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
+/// Median wall time of `runs` calls of `f`.
+fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
+    let mut t: Vec<f64> = (0..runs).map(|_| secs(&mut f)).collect();
+    t.sort_by(f64::total_cmp);
+    t[runs / 2]
+}
+
 /// The [`Scenario`] descriptor attached to performance-tracking rows: the
 /// row's synthetic workload knobs in the same one-line JSON schema `gpv
 /// fuzz --repro` consumes. It pins the workload class — graph scale, query
@@ -121,34 +128,12 @@ fn row_scenario(
     seed: u64,
 ) -> String {
     Scenario {
-        seed,
-        graph: GraphSource::Synthetic {
-            nodes,
-            edges: 2 * nodes,
-            labels: DEFAULT_ALPHABET.len(),
-        },
         queries,
-        query_nodes: 4,
-        query_edges: 6,
-        shape: PatternShape::Any,
-        max_bound: 1,
-        zipf_s: 0.0,
         batch_len,
         rounds,
-        updates_per_round: 0,
-        delta_batch_len: 0,
-        delete_ratio: 0.0,
-        coverage: 1.0,
-        max_fragment: 3,
         mode,
-        exec: ExecKnob::Sequential,
-        threads: 1,
-        chunk_pairs: 0,
-        weights: WeightsKnob::Default,
-        recalibrate_every: 0,
-        result_cache_bytes: 64 << 20,
-        plan_cache_capacity: 4096,
         shards,
+        ..Scenario::synthetic_baseline(seed, nodes)
     }
     .to_json_line()
 }
@@ -926,10 +911,11 @@ pub fn fig8l(scale: Scale, seed: u64) -> ExperimentResult {
 /// weights from this row's recorded executions — the `est_err_*` series
 /// are dimensionless ratios, and calibration must drive the error down.
 ///
-/// **Chunked series.** `MatchJoin_par4_chunked` times the parallel kernel
-/// at 4 workers with the chunk size pinned to a quarter of the row's
-/// largest merged set, so every edge that large is split into chunks (the
-/// [`HostInfo`] on the result says how many cores actually ran them).
+/// Every `MatchJoin_*` series is the median of 3 runs per query, summed
+/// over the queries and divided by their count. `MatchJoin_seq` times the
+/// 3 recorded executions the calibration fit reads, so timing adds no
+/// samples to it. The [`HostInfo`] on the result says how many cores ran
+/// the parallel series.
 pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
     use gpv_core::par_match_join;
     let queries: Vec<Pattern> = (0..3)
@@ -946,60 +932,30 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
         let mut engine = QueryEngine::materialize(views.clone(), &g);
         engine.set_config(figure_config(SelectionMode::Minimum));
         let (mut t_plan, mut t_seq, mut t_auto, mut t_par2, mut t_par4) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        let mut t_par4c = 0.0;
         for q in &queries {
             t_plan += secs(|| {
                 std::hint::black_box(engine.plan(q));
             });
             let plan = engine.plan(q);
             assert!(!plan.needs_graph(), "covering views contain q");
-            t_seq += secs(|| {
+            // Three recorded executions per query: the calibration fit
+            // below gets a few samples per plan shape.
+            t_seq += median_secs(3, || {
                 std::hint::black_box(engine.execute(q, &plan, None).unwrap());
             });
-            // Two more recorded (untimed) executions per query, so the
-            // calibration fit below has a few samples per plan shape.
-            for _ in 0..2 {
-                std::hint::black_box(engine.execute(q, &plan, None).unwrap());
-            }
             let gpv_core::QueryPlan::ViewsOnly(vp) = &plan else {
                 unreachable!("checked above");
             };
-            t_auto += secs(|| {
-                std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 0).unwrap());
-            });
-            t_par2 += secs(|| {
-                std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 2).unwrap());
-            });
-            t_par4 += secs(|| {
-                std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 4).unwrap());
-            });
-            // The kernel with its largest merged set split four ways
-            // (floored at 1 pair so tiny rows still run the chunked build),
-            // pinned through a config-only copy of the engine with its own
-            // cost log, so these runs stay out of the calibration fit.
-            let largest = vp
-                .sources
-                .iter()
-                .filter_map(|s| match s {
-                    gpv_core::EdgeSource::View(r) => {
-                        Some(engine.extensions().edge_set(r.view, r.edge).len())
-                    }
-                    gpv_core::EdgeSource::Graph => None,
+            let par = |threads| {
+                median_secs(3, || {
+                    std::hint::black_box(
+                        par_match_join(q, &vp.plan, engine.extensions(), threads).unwrap(),
+                    );
                 })
-                .max()
-                .unwrap_or(1);
-            let chunked = engine
-                .clone()
-                .with_cost_log(gpv_core::SharedCostLog::default())
-                .with_config(EngineConfig {
-                    chunk_pairs: Some((largest / 4).max(1)),
-                    force_exec: Some(ExecStrategy::Parallel { threads: 4 }),
-                    ..figure_config(SelectionMode::Minimum)
-                });
-            let chunked_plan = chunked.plan(q);
-            t_par4c += secs(|| {
-                std::hint::black_box(chunked.execute(q, &chunked_plan, None).unwrap());
-            });
+            };
+            t_auto += par(0);
+            t_par2 += par(2);
+            t_par4 += par(4);
         }
         // Feed the log some direct (graph-scan) executions too, via an
         // empty-registry engine sharing the same cost log — the fit then
@@ -1123,7 +1079,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
                 ("MatchJoin_par_auto".into(), t_auto / c),
                 ("MatchJoin_par2".into(), t_par2 / c),
                 ("MatchJoin_par4".into(), t_par4 / c),
-                ("MatchJoin_par4_chunked".into(), t_par4c / c),
                 ("est_err_default".into(), est_err_default),
                 ("est_err_calibrated".into(), est_err_calibrated),
                 ("compact_scan".into(), t_flat_scan),
@@ -1263,34 +1218,13 @@ pub fn maintenance_experiment(scale: Scale, seed: u64) -> ExperimentResult {
     // propagate through warm supports without any recompute).
     for (delta_batch_len, delete_ratio) in [(1usize, 0.5), (8, 0.5), (64, 0.5), (64, 1.0)] {
         let sc = Scenario {
-            seed: seed + delta_batch_len as u64,
-            graph: GraphSource::Synthetic {
-                nodes: n,
-                edges: 2 * n,
-                labels: DEFAULT_ALPHABET.len(),
-            },
             queries: 6,
-            query_nodes: 4,
-            query_edges: 6,
-            shape: PatternShape::Any,
-            max_bound: 1,
-            zipf_s: 0.0,
             batch_len: 8,
             rounds: ROUNDS,
-            updates_per_round: 0,
             delta_batch_len,
             delete_ratio,
-            coverage: 1.0,
-            max_fragment: 3,
-            mode: QueryMode::Minimal,
-            exec: ExecKnob::Sequential,
-            threads: 1,
-            chunk_pairs: 0,
-            weights: WeightsKnob::Default,
-            recalibrate_every: 0,
-            result_cache_bytes: 64 << 20,
-            plan_cache_capacity: 4096,
             shards: 8,
+            ..Scenario::synthetic_baseline(seed + delta_batch_len as u64, n)
         };
         let inputs = sc.materialize();
         let round_batch = |r: usize| -> Vec<Pattern> {
@@ -1647,7 +1581,6 @@ mod tests {
                 "MatchJoin_par_auto",
                 "MatchJoin_par2",
                 "MatchJoin_par4",
-                "MatchJoin_par4_chunked",
             ] {
                 assert!(
                     row.series.iter().any(|(n, _)| n == series),
@@ -1676,7 +1609,10 @@ mod tests {
                 .as_deref()
                 .expect("engine rows describe themselves");
             let sc = Scenario::from_json_line(json).expect("descriptor parses as a Scenario");
-            assert!(matches!(sc.graph, GraphSource::Synthetic { .. }));
+            assert!(matches!(
+                sc.graph,
+                gpv_generator::GraphSource::Synthetic { .. }
+            ));
             assert_eq!(sc.mode, QueryMode::Minimum);
         }
         let s = service_experiment(tiny(), 42);

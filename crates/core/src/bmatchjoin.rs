@@ -14,7 +14,6 @@
 
 use crate::bview::BoundedViewExtensions;
 use crate::containment::ContainmentPlan;
-use crate::engine::EngineConfig;
 use crate::matchjoin::{refine, JoinError, JoinStats, JoinStrategy, MergedSets};
 use crate::plan::ExecStrategy;
 use gpv_graph::NodeId;
@@ -38,24 +37,16 @@ pub fn bmatch_join_with(
     ext: &BoundedViewExtensions,
     strategy: JoinStrategy,
 ) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
-    bmatch_join_exec(
-        qb,
-        plan,
-        ext,
-        ExecStrategy::Sequential(strategy),
-        &EngineConfig::default(),
-    )
+    bmatch_join_exec(qb, plan, ext, ExecStrategy::Sequential(strategy))
 }
 
 /// The entry point behind [`bmatch_join_with`]: the bounded merge, then
-/// the fixpoint under `exec` (the engine passes its plan's strategy and
-/// its config, which may pin the parallel kernel's chunk size).
+/// the fixpoint under `exec` (the engine passes its plan's strategy).
 pub(crate) fn bmatch_join_exec(
     qb: &BoundedPattern,
     plan: &ContainmentPlan,
     ext: &BoundedViewExtensions,
     exec: ExecStrategy,
-    config: &EngineConfig,
 ) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
     let q = qb.pattern();
     if q.edge_count() == 0 {
@@ -116,7 +107,7 @@ pub(crate) fn bmatch_join_exec(
         merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
         ..JoinStats::default()
     };
-    let sets = refine(q, merged, exec, config, &mut stats)?;
+    let sets = refine(q, merged, exec, &mut stats)?;
 
     let Some(sets) = sets else {
         return Ok((BoundedMatchResult::empty(), stats));

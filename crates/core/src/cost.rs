@@ -359,10 +359,10 @@ impl CostModel {
 
     /// Whether the parallel executor is worth its overhead for a plan
     /// reading `pairs` pairs on `threads` workers. The overhead side prices
-    /// both the spawn cost *and* the merge/stitch barrier the staged
-    /// pipeline pays (per-worker results are combined sequentially in fixed
-    /// index order between stages — see [`crate::parallel`]), so a job has
-    /// to amortize the whole coordination bill, not just thread creation.
+    /// both the spawn cost *and* the merge barrier the staged pipeline pays
+    /// (per-worker results are combined sequentially in fixed index order
+    /// between stages — see [`crate::parallel`]), so a job has to amortize
+    /// the whole coordination bill, not just thread creation.
     ///
     /// ```
     /// let cm = gpv_core::cost::CostModel::default();
@@ -374,59 +374,13 @@ impl CostModel {
             return false;
         }
         let serial = self.read_pair * pairs as f64;
-        // Spawn plus the per-stage stitch: each worker's results are merged
+        // Spawn plus the per-stage merge: each worker's results are merged
         // back sequentially, costing roughly half a spawn's worth of
         // coordination per worker per stage (measured, not load-bearing —
         // the gate only has to keep tiny jobs inline).
-        let overhead = (self.thread_spawn + Self::STITCH_UNIT * self.thread_spawn) * threads as f64;
+        let overhead = 1.5 * self.thread_spawn * threads as f64;
         // Parallelizing saves up to (1 - 1/t) of the per-pair build work.
         serial * (1.0 - 1.0 / threads as f64) > overhead
-    }
-
-    /// Relative weight of the sequential stitch barrier per worker, as a
-    /// fraction of [`CostModel::thread_spawn`]. The chunked pipeline runs
-    /// *two* parallel passes (counts, then scatter) around a sequential
-    /// prefix stitch, so it pays this twice per chunk.
-    const STITCH_UNIT: f64 = 0.5;
-
-    /// Floor on the chunk size for intra-edge parallelism: below this, the
-    /// per-chunk fixed costs (allocation, stitch bookkeeping) drown the
-    /// fanned-out work.
-    pub const MIN_CHUNK_PAIRS: usize = 4096;
-
-    /// Chunk size for the parallel kernel, driven by the *per-edge* pair
-    /// counts of the merge rather than their total: one work unit per edge
-    /// caps the speedup at `|Eq|`, so when there are more workers than
-    /// edges and one edge's set is large enough to amortize the chunked
-    /// build's extra pass and stitch, the largest sets are split into
-    /// chunks of the returned size. Otherwise the returned size is the
-    /// largest set's, so every edge stays a single unit (enough edges to
-    /// saturate the workers, or sets too small to split).
-    pub fn parallel_chunk_pairs(&self, set_sizes: &[usize], threads: usize) -> usize {
-        let ne = set_sizes.len();
-        let max_pairs = set_sizes.iter().copied().max().unwrap_or(0).max(1);
-        if threads < 2 || ne >= threads {
-            // Enough per-edge units to keep every worker busy (or no
-            // parallelism at all): the chunked build's second pass and
-            // stitch would be pure overhead.
-            return max_pairs;
-        }
-        // Split the largest set into ~`threads` chunks, floored so chunks
-        // stay coarse enough to amortize their fixed costs.
-        let chunk_pairs = max_pairs.div_ceil(threads).max(Self::MIN_CHUNK_PAIRS);
-        if max_pairs.div_ceil(chunk_pairs) < 2 {
-            return max_pairs; // largest set fits one chunk
-        }
-        // Chunking the biggest edge saves up to (1 - ne/threads) of its
-        // build work (one unit per edge already overlaps `ne` units); it
-        // costs one extra parallel pass plus the sequential prefix stitch.
-        let saved = self.read_pair * max_pairs as f64 * (1.0 - ne as f64 / threads as f64);
-        let overhead = (1.0 + 2.0 * Self::STITCH_UNIT) * self.thread_spawn * threads as f64;
-        if saved > overhead {
-            chunk_pairs
-        } else {
-            max_pairs
-        }
     }
 
     /// Predicted execution wall time (µs once calibrated; unit-free before)
@@ -661,29 +615,6 @@ mod tests {
         assert!(!cm.parallel_pays(100, 1), "never parallel on one thread");
         assert!(!cm.parallel_pays(100, 4), "tiny jobs stay sequential");
         assert!(cm.parallel_pays(1_000_000, 4), "large jobs parallelize");
-    }
-
-    /// The chunk size is driven by the per-edge distribution, not the
-    /// total: chunking only pays when there are more workers than edges
-    /// *and* a dominant set large enough to amortize the chunked build's
-    /// extra pass and stitch. Otherwise every edge stays one unit.
-    #[test]
-    fn chunk_pairs_from_per_edge_counts() {
-        let cm = CostModel::default();
-        // Enough edges to saturate the workers: one unit per edge.
-        assert_eq!(cm.parallel_chunk_pairs(&[1_000_000; 8], 4), 1_000_000);
-        // The |Eq| ceiling case: 2 edges, 8 workers, one 10M-pair set.
-        let chunk_pairs = cm.parallel_chunk_pairs(&[10_000_000, 50], 8);
-        assert!(chunk_pairs >= CostModel::MIN_CHUNK_PAIRS);
-        assert!(
-            chunk_pairs <= 10_000_000 / 2,
-            "the dominant set splits into several chunks: {chunk_pairs}"
-        );
-        // Small sets: the stitch overhead drowns the savings.
-        assert_eq!(cm.parallel_chunk_pairs(&[100, 50], 8), 100);
-        // One thread never chunks; an empty merge yields a unit-size chunk.
-        assert_eq!(cm.parallel_chunk_pairs(&[10_000_000], 1), 10_000_000);
-        assert_eq!(cm.parallel_chunk_pairs(&[], 8), 1);
     }
 
     /// Regression for the `unwrap_or(0)` bug: a partial λ (some entry

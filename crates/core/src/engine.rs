@@ -55,13 +55,6 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// Worker threads for the parallel executor (`0` = auto-detect).
     pub threads: usize,
-    /// Pin the parallel kernel's chunk size (pairs per *(edge, chunk)*
-    /// work unit; `0` counts as 1) instead of deriving it at execution
-    /// from the merged set sizes
-    /// ([`CostModel::parallel_chunk_pairs`]). Only applies when the
-    /// planner picks (or [`Self::force_exec`] pins) the parallel executor;
-    /// `None` = derived.
-    pub chunk_pairs: Option<usize>,
     /// Pin the view-selection mode instead of costing the alternatives.
     pub force_selection: Option<SelectionMode>,
     /// Pin the execution strategy instead of letting the cost model gate
@@ -349,8 +342,7 @@ impl QueryEngine {
 
     /// Execution-strategy decision from the number of pairs the plan's
     /// merge will read: [`CostModel::parallel_pays`] gates the parallel
-    /// kernel, whose chunk size is derived at execution.
-    /// [`EngineConfig::force_exec`] pins the whole strategy.
+    /// kernel. [`EngineConfig::force_exec`] pins the whole strategy.
     fn exec_for(&self, pairs: u64) -> ExecStrategy {
         if let Some(exec) = self.config.force_exec {
             return exec;
@@ -606,7 +598,7 @@ impl QueryEngine {
         let out = match plan {
             QueryPlan::ViewsOnly(vp) => {
                 let merged = merged_from_sources(q, &vp.sources, self.extensions(), None)?;
-                run_fixpoint(q, merged, vp.exec, &self.config)?
+                run_fixpoint(q, merged, vp.exec)?
             }
             QueryPlan::Hybrid {
                 partial, sources, ..
@@ -629,7 +621,6 @@ impl QueryEngine {
                     q,
                     merged,
                     ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
-                    &self.config,
                 )?
             }
             QueryPlan::Direct { .. } => {
@@ -741,8 +732,7 @@ impl QueryEngine {
     pub fn answer_bounded(&self, qb: &BoundedPattern) -> Result<BoundedMatchResult, EngineError> {
         let plan = self.plan_bounded(qb)?;
         let (_, ext) = self.bounded.as_ref().expect("plan_bounded checked");
-        let (r, _) =
-            crate::bmatchjoin::bmatch_join_exec(qb, &plan.plan, ext, plan.exec, &self.config)?;
+        let (r, _) = crate::bmatchjoin::bmatch_join_exec(qb, &plan.plan, ext, plan.exec)?;
         Ok(r)
     }
 

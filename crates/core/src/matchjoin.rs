@@ -23,8 +23,7 @@
 //! `O(|Qs|² + |Qs||G| + |G|²)` for evaluating `Qs` on `G` directly.
 
 use crate::containment::ContainmentPlan;
-use crate::engine::EngineConfig;
-use crate::parallel::{self, auto_threads, par_map};
+use crate::parallel::{auto_threads, par_map};
 use crate::plan::ExecStrategy;
 use crate::view::ViewExtensions;
 use gpv_graph::NodeId;
@@ -136,12 +135,7 @@ pub fn match_join_with(
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step(q, plan, ext)?;
-    run_fixpoint(
-        q,
-        merged,
-        ExecStrategy::Sequential(strategy),
-        &EngineConfig::default(),
-    )
+    run_fixpoint(q, merged, ExecStrategy::Sequential(strategy))
 }
 
 /// Like [`match_join_with`] but initializing with the *literal* Fig. 2 merge
@@ -156,32 +150,24 @@ pub fn match_join_union_with(
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step_union(q, plan, ext)?;
-    run_fixpoint(
-        q,
-        merged,
-        ExecStrategy::Sequential(strategy),
-        &EngineConfig::default(),
-    )
+    run_fixpoint(q, merged, ExecStrategy::Sequential(strategy))
 }
 
 /// Runs the fixpoint phase over caller-supplied merged sets under `exec` —
 /// the execution backend behind the λ-based entry points, the
 /// [`EdgeSource`](crate::plan::EdgeSource)-honoring engine path (whose
 /// merge is built by `partial::merged_from_sources`) and the hybrid
-/// evaluator. `config` supplies the parallel kernel's chunk size: pinned
-/// by [`EngineConfig::chunk_pairs`], or derived from the merged set sizes
-/// ([`CostModel::parallel_chunk_pairs`](crate::cost::CostModel::parallel_chunk_pairs)).
+/// evaluator.
 pub(crate) fn run_fixpoint(
     q: &Pattern,
     merged: MergedSets<'_>,
     exec: ExecStrategy,
-    config: &EngineConfig,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let mut stats = JoinStats {
         merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
         ..JoinStats::default()
     };
-    let sets = refine(q, merged, exec, config, &mut stats)?;
+    let sets = refine(q, merged, exec, &mut stats)?;
     Ok((assemble(q, sets), stats))
 }
 
@@ -192,29 +178,17 @@ pub(crate) fn refine(
     q: &Pattern,
     merged: MergedSets<'_>,
     exec: ExecStrategy,
-    config: &EngineConfig,
     stats: &mut JoinStats,
 ) -> FixpointOutcome {
-    match exec {
-        ExecStrategy::Sequential(JoinStrategy::RankedBottomUp) => {
-            ranked_fixpoint(q, merged, stats, 1, 0)
-        }
+    let threads = match exec {
         ExecStrategy::Sequential(JoinStrategy::NaiveFixpoint) => {
-            Ok(naive_fixpoint(q, merged, stats))
+            return Ok(naive_fixpoint(q, merged, stats));
         }
-        ExecStrategy::Parallel { threads } => {
-            let threads = if threads == 0 {
-                auto_threads()
-            } else {
-                threads
-            };
-            let chunk = config.chunk_pairs.unwrap_or_else(|| {
-                let sizes: Vec<usize> = merged.iter().map(|s| s.len()).collect();
-                config.cost.parallel_chunk_pairs(&sizes, threads)
-            });
-            ranked_fixpoint(q, merged, stats, threads, chunk)
-        }
-    }
+        ExecStrategy::Sequential(JoinStrategy::RankedBottomUp) => 1,
+        ExecStrategy::Parallel { threads: 0 } => auto_threads(),
+        ExecStrategy::Parallel { threads } => threads,
+    };
+    ranked_fixpoint(q, &compact_index(&merged), stats, threads)
 }
 
 /// Canonicalizes one edge's borrowed match set: sorted, duplicate-free.
@@ -388,9 +362,8 @@ pub(crate) fn compact_index<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
 }
 
 /// One edge's compacted match set as the drain reads it: endpoint presence
-/// bitsets and the reverse CSR. Pure per-edge data: an edge that is one
-/// work unit is built by [`build_edge_csr`], a split edge by the chunked
-/// build in [`crate::parallel`].
+/// bitsets and the reverse CSR. Pure per-edge data, built by
+/// [`build_edge_csr`].
 #[derive(Debug)]
 pub(crate) struct EdgeCsr {
     /// Dense ids occurring as sources.
@@ -614,47 +587,48 @@ pub(crate) type FixpointOutcome = Result<Option<Vec<Vec<(NodeId, NodeId)>>>, Joi
 /// so the hot-path structures are flat vectors and bitsets, and no stage
 /// hashes. Stages and their cost, for `P` merged pairs:
 ///
-/// 1. compact ([`compact_index`]): one pass through a dense remap sized by
-///    the largest node id, mapping each endpoint once — O(P) plus the remap;
+/// 1. compact ([`compact_index`], run by [`refine`] to build `dense`): one
+///    pass through a dense remap sized by the largest node id, mapping
+///    each endpoint once — O(P) plus the remap;
 /// 2. CSR build ([`build_edge_csr`]): endpoint bitsets plus the reverse CSR
 ///    the drain walks — O(P) plus O(|Eq|·m) for the per-edge offsets (no
 ///    forward CSR: nothing walks successors);
 /// 3. candidates ([`build_candidates`]): bitset intersections, O(|Eq|·m/64);
-/// 4. support ([`count_support`]): one pass over each edge's pairs, O(P);
+/// 4. support ([`count_support`], then [`zero_support`] for the seeds): one
+///    pass over each edge's pairs, O(P);
 /// 5. [`drain_and_extract`]: the drain, then a filter pass, O(P).
 ///
-/// With `threads == 1` every stage runs inline, one edge at a time. With
-/// more workers the per-edge stages (CSR build, support, final filter) fan
-/// out as *(edge, chunk)* units of at most `chunk` pairs (`0` counts as 1),
-/// fixed by index ([`crate::parallel`]); an edge that is a single unit runs
-/// [`build_edge_csr`] and [`count_support`] exactly as the inline path does.
+/// The per-edge stages (CSR build, support, final filter) are each one
+/// [`par_map`] over the pattern edges: inline with `threads == 1`, whole
+/// edges fanned across workers otherwise ([`crate::parallel`]).
 /// Compaction, candidates and the drain stay on the calling thread, so the
-/// answer and the [`JoinStats`] are identical for every `threads` ×
-/// `chunk`. `Err` only on a caught worker panic.
+/// answer and the [`JoinStats`] are identical for every `threads`. `Err`
+/// only on a caught worker panic, carrying the failing edge's index.
 pub(crate) fn ranked_fixpoint(
     q: &Pattern,
-    merged: MergedSets<'_>,
+    dense: &Compacted,
     stats: &mut JoinStats,
     threads: usize,
-    chunk: usize,
 ) -> FixpointOutcome {
     let ne = q.edge_count();
-    let dense = compact_index(&merged);
     let m = dense.rev_index.len();
-    let units = parallel::chunk_units(&dense.pairs, chunk, threads);
 
     stats.edge_visits += ne as u64;
-    let csrs = parallel::build_csrs(&dense.pairs, &units, m, threads)?;
+    let csrs = par_map(ne, threads, |ei| build_edge_csr(&dense.pairs[ei], m))?;
 
     let Some(cand) = build_candidates(q, &csrs, m) else {
         return Ok(None);
     };
 
     stats.edge_visits += ne as u64;
-    let (support, mut zero): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
-        parallel::supports(q, &dense.pairs, &cand, m, &units, threads)?
-            .into_iter()
-            .unzip();
+    let (support, mut zero): (Vec<Vec<u32>>, Vec<Vec<u32>>) = par_map(ne, threads, |ei| {
+        let (u, t) = q.edge(PatternEdgeId(ei as u32));
+        let sup = count_support(dense.pairs[ei].iter().copied(), &cand[t.index()], m);
+        let seeds = zero_support(&sup, &cand[u.index()]).collect();
+        (sup, seeds)
+    })?
+    .into_iter()
+    .unzip();
     // Seed by source node, then out-edge: the drain's pop order.
     let mut seeds: Vec<(PatternNodeId, Vec<u32>)> = Vec::with_capacity(ne);
     for u in q.nodes() {
@@ -663,7 +637,7 @@ pub(crate) fn ranked_fixpoint(
         }
     }
 
-    drain_and_extract(q, &dense, &csrs, cand, support, &seeds, stats, threads)
+    drain_and_extract(q, dense, &csrs, cand, support, &seeds, stats, threads)
 }
 
 /// The literal Fig. 2 fixpoint: rescan every match set until stable.
@@ -1068,6 +1042,19 @@ mod tests {
         // input (the hot path pays one linear scan, no sort).
         let set = clean.edge_set(0, gpv_pattern::PatternEdgeId(0));
         assert_eq!(canonical_pairs(set), set.to_vec());
+    }
+
+    /// Compaction maps each endpoint once, in first-occurrence order, and
+    /// the dense ids round-trip through `rev_index`.
+    #[test]
+    fn compaction_is_first_occurrence_and_round_trips() {
+        let sets = vec![
+            vec![(NodeId(90), NodeId(7)), (NodeId(7), NodeId(90))],
+            vec![(NodeId(3), NodeId(90))],
+        ];
+        let dense = compact_index(&sets);
+        assert_eq!(dense.rev_index, vec![NodeId(90), NodeId(7), NodeId(3)]);
+        assert_eq!(dense.pairs, vec![vec![(0, 1), (1, 0)], vec![(2, 0)]]);
     }
 
     use crate::view::ViewExtensions;

@@ -208,7 +208,6 @@ pub fn hybrid_match_join(
         q,
         merged,
         crate::plan::ExecStrategy::Sequential(crate::matchjoin::JoinStrategy::RankedBottomUp),
-        &crate::engine::EngineConfig::default(),
     )
 }
 

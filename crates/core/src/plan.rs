@@ -130,8 +130,8 @@ pub enum ExecStrategy {
     /// Single-threaded, with the given worklist discipline.
     Sequential(JoinStrategy),
     /// The ranked kernel with its per-edge stages fanned across `threads`
-    /// workers ([`crate::parallel`]); the split into *(edge, chunk)* work
-    /// units is derived at execution from the merged set sizes.
+    /// workers, one whole pattern edge per work item
+    /// ([`crate::parallel`]).
     Parallel {
         /// Worker count (`0` = auto-detect at execution time).
         threads: usize,

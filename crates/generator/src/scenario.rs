@@ -6,8 +6,8 @@
 //! queries of what shape over how many labels, how the serving schedule
 //! repeats them (zipfian), what fraction of the covering view set is
 //! registered, how the store mutates between rounds, and the full engine/
-//! service configuration (selection mode, executor, threads, chunk size,
-//! cost weights, cache budgets, recalibration cadence). Two
+//! service configuration (selection mode, executor, threads, cost
+//! weights, cache budgets, recalibration cadence). Two
 //! invariants make it a fuzzing substrate:
 //!
 //! * **One-seed determinism** — [`Scenario::sample`] is a pure function of
@@ -109,8 +109,8 @@ pub enum QueryMode {
 pub enum ExecKnob {
     /// Single-threaded ranked-bottom-up.
     Sequential,
-    /// The ranked kernel fanned across [`Scenario::threads`] workers, with
-    /// the chunk size pinned to [`Scenario::chunk_pairs`].
+    /// The ranked kernel with its per-edge stages fanned across
+    /// [`Scenario::threads`] workers, one whole pattern edge per work item.
     Parallel,
 }
 
@@ -175,8 +175,11 @@ pub struct Scenario {
     pub exec: ExecKnob,
     /// Worker threads for parallel executors.
     pub threads: usize,
-    /// Pairs per chunk for [`ExecKnob::Parallel`] (at fuzz scale the
-    /// largest sweep value keeps every edge a single unit).
+    /// Retired and ignored: the parallel kernel no longer splits an edge
+    /// into chunks, so there is no chunk size to pin. The field stays so
+    /// existing `Scenario { .. }` literals and recorded repro lines keep
+    /// compiling and parsing; [`Scenario::sample`] writes `0` and
+    /// [`Scenario::engine_config`] never reads it.
     pub chunk_pairs: usize,
     /// Cost-weight class under test.
     pub weights: WeightsKnob,
@@ -228,8 +231,8 @@ impl Scenario {
     /// guaranteed, not probabilistic: query mode has period 5, executor 3
     /// (sequential, parallel, parallel — coprime with the weights' 2),
     /// weight class 4 (default on even indices, the two calibrated classes
-    /// alternating on odd), cache state 4, threads/chunk sizes 3 and 4
-    /// (offset so they decorrelate from the other axes). Everything else
+    /// alternating on odd), cache state 4, threads 3 (offset so it
+    /// decorrelates from the other axes). Everything else
     /// is drawn from an RNG seeded with `mix(master_seed, index)`.
     pub fn sample(master_seed: u64, index: u64) -> Scenario {
         let seed = mix(master_seed, index);
@@ -255,7 +258,6 @@ impl Scenario {
         };
         let result_cache_bytes = CACHE_STATES[(index % 4) as usize];
         let threads = [2, 4, 8][((index / 3) % 3) as usize];
-        let chunk_pairs = [1, 8, 64, 65_536][((index / 4) % 4) as usize];
         let recalibrate_every = usize::from(index % 7 < 3);
 
         let labels = rng.gen_range(2..=6);
@@ -325,12 +327,50 @@ impl Scenario {
             mode,
             exec,
             threads,
-            chunk_pairs,
+            chunk_pairs: 0,
             weights,
             recalibrate_every,
             result_cache_bytes,
             plan_cache_capacity: [2, 8, 4096][rng.gen_range(0..3usize)],
             shards: rng.gen_range(1..=4),
+        }
+    }
+
+    /// A fixed baseline for benchmark rows: one sequential worker, default
+    /// weights and caches, `Minimal` selection, 4-node 6-edge queries over
+    /// a synthetic graph of `nodes` nodes and `2 × nodes` edges on the
+    /// default alphabet, a static graph and one shard. Callers override
+    /// the knobs their row varies.
+    pub fn synthetic_baseline(seed: u64, nodes: usize) -> Scenario {
+        Scenario {
+            seed,
+            graph: GraphSource::Synthetic {
+                nodes,
+                edges: 2 * nodes,
+                labels: DEFAULT_ALPHABET.len(),
+            },
+            queries: 1,
+            query_nodes: 4,
+            query_edges: 6,
+            shape: PatternShape::Any,
+            max_bound: 1,
+            zipf_s: 0.0,
+            batch_len: 1,
+            rounds: 1,
+            updates_per_round: 0,
+            delta_batch_len: 0,
+            delete_ratio: 0.0,
+            coverage: 1.0,
+            max_fragment: 3,
+            mode: QueryMode::Minimal,
+            exec: ExecKnob::Sequential,
+            threads: 1,
+            chunk_pairs: 0,
+            weights: WeightsKnob::Default,
+            recalibrate_every: 0,
+            result_cache_bytes: 64 << 20,
+            plan_cache_capacity: 4096,
+            shards: 1,
         }
     }
 
@@ -496,7 +536,7 @@ impl Scenario {
     }
 
     /// The engine configuration the scenario forces (executor, selection
-    /// mode, threads, chunk size, weights).
+    /// mode, threads, weights).
     pub fn engine_config(&self) -> EngineConfig {
         let force_exec = Some(match self.exec {
             ExecKnob::Sequential => ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
@@ -513,7 +553,6 @@ impl Scenario {
         EngineConfig {
             cost: self.cost_model(),
             threads: self.threads,
-            chunk_pairs: (self.exec == ExecKnob::Parallel).then_some(self.chunk_pairs),
             force_selection,
             force_exec,
         }
@@ -616,6 +655,28 @@ mod tests {
         }
         // Different indices actually differ.
         assert_ne!(Scenario::sample(99, 0), Scenario::sample(99, 1));
+    }
+
+    /// `chunk_pairs` is retired: two scenarios that differ only in it
+    /// configure the engine and the service identically.
+    #[test]
+    fn chunk_pairs_is_inert() {
+        for i in 0..6 {
+            let a = Scenario::sample(5, i);
+            assert_eq!(a.chunk_pairs, 0, "the sampler writes the constant");
+            let b = Scenario {
+                chunk_pairs: 4096,
+                ..a.clone()
+            };
+            assert_eq!(
+                format!("{:?}", a.engine_config()),
+                format!("{:?}", b.engine_config())
+            );
+            assert_eq!(
+                format!("{:?}", a.service_config()),
+                format!("{:?}", b.service_config())
+            );
+        }
     }
 
     #[test]

@@ -27,12 +27,10 @@
 //! the materialized extension sizes (`--select auto`, the default), and
 //! picks a sequential or parallel executor (omit `--threads` to
 //! auto-detect the worker count). The parallel executor is the ranked
-//! kernel with its per-edge stages fanned out; it splits an edge's pair
-//! set into chunks only when there are more workers than edges, with a
-//! chunk size derived at execution from the merged set sizes. The EXPLAIN
-//! output shows the chosen executor (`execute: parallel(8)`), the per-edge
-//! merge sources
-//! (`View`/`Graph`), and the active cost weights; `plan --calibrated` first
+//! kernel with its per-edge stages fanned out, one whole pattern edge per
+//! work item. The EXPLAIN output shows the chosen executor
+//! (`execute: parallel(8)`), the per-edge merge sources (`View`/`Graph`),
+//! and the active cost weights; `plan --calibrated` first
 //! executes the query a few times (`--repeat`, min 3) to fill the
 //! estimate-vs-actual log, re-fits the weights, and EXPLAINs under the
 //! calibrated model.
@@ -98,8 +96,8 @@
 //! each iteration samples a `gpv_generator::Scenario` — graph emulator +
 //! scale, query shapes, zipfian serving schedule, view coverage, store
 //! mutations, and the full engine/service configuration (query mode,
-//! executor, threads, chunk size, cost weights, cache
-//! budgets, recalibration cadence) — deterministically from `--seed`, runs
+//! executor, threads, cost weights, cache budgets, recalibration
+//! cadence) — deterministically from `--seed`, runs
 //! it through `QueryEngine` *and* `ViewService`, and asserts bit-exact
 //! agreement with naive `match_pattern` / `bmatch_pattern` on every
 //! answer. A divergence prints the scenario's one-line JSON and the exact

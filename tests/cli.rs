@@ -430,8 +430,7 @@ fn plan_explain_matches_golden() {
 }
 
 /// Golden-file contract for the parallel-executor EXPLAIN line: `--exec
-/// par` pins `parallel(T)`. The chunk size is derived at execution, so it
-/// is not part of the plan. The forced executor changes only the
+/// par` pins `parallel(T)`. The forced executor changes only the
 /// `execute:` line; sources, cost and weights stay identical to the auto
 /// plan.
 #[test]

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["A", "B", "C", "D"];
 
-/// Thread counts a chunked-equivalence sweep exercises: `base`, widened
+/// Thread counts a parallel-equivalence sweep exercises: `base`, widened
 /// in CI through `GPV_TEST_THREADS` (the counts are explicit worker
 /// counts, not `available_parallelism`, so they fan out real threads even
 /// on 1-core runners).
@@ -146,8 +146,7 @@ proptest! {
             prop_assert_eq!(&engine.answer_from_views(&q).unwrap(), &direct);
             prop_assert_eq!(&engine.answer(&q, &g).unwrap(), &direct);
         }
-        // Forced parallel execution (2 and 4 workers, derived chunk size)
-        // agrees bit-for-bit.
+        // Forced parallel execution (2 and 4 workers) agrees bit-for-bit.
         for threads in [2usize, 4] {
             let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
                 force_exec: Some(ExecStrategy::Parallel { threads }),
@@ -157,41 +156,34 @@ proptest! {
         }
     }
 
-    /// The parallel kernel's acceptance property: it is **bit-for-bit
-    /// identical** to the sequential `RankedBottomUp` strategy across
-    /// threads ∈ {1, 2, 4, 8} × pinned chunk sizes — including 0 (counted
-    /// as 1, so a zero pin still makes progress), 1 (every pair its own
-    /// unit) and sizes larger than any merged set (one unit per edge).
-    /// Chunk boundaries are fixed by index, so neither thread count nor
-    /// chunk size may leak into the answer.
+    /// The parallel kernel's acceptance property: its answer and
+    /// `JoinStats` are **bit-for-bit identical** to the sequential
+    /// `RankedBottomUp` strategy across threads ∈ {1, 2, 4, 8}. Work items
+    /// are whole edges fixed by index, so the thread count may not leak
+    /// into the answer or the counters.
     #[test]
-    fn chunked_parallel_is_bit_identical_to_ranked_bottom_up(
+    fn parallel_is_bit_identical_to_ranked_bottom_up(
         g in arb_graph(),
         q in arb_query(),
         vseed in any::<u64>(),
     ) {
         let views = covering_views(std::slice::from_ref(&q), 3, vseed);
-        let sequential = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-            force_exec: Some(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp)),
-            ..EngineConfig::default()
-        });
-        let baseline = sequential.answer_from_views(&q).unwrap();
+        let mut engine = QueryEngine::materialize(views, &g);
+        let mut run = |exec: ExecStrategy| {
+            engine.set_config(EngineConfig {
+                force_exec: Some(exec),
+                ..EngineConfig::default()
+            });
+            let plan = engine.plan(&q);
+            assert!(!plan.needs_graph(), "covering views contain q: {plan}");
+            engine.execute(&q, &plan, None).unwrap()
+        };
+        let (baseline, stats) = run(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp));
         prop_assert_eq!(&baseline, &match_pattern(&q, &g));
-        // Chunk sizes: zero and degenerate (0, 1), small odd (3), and far
-        // beyond any merged set in these graphs (1 << 20).
         for threads in sweep_threads(&[1, 2, 4, 8]) {
-            for chunk_pairs in [0usize, 1, 3, 1 << 20] {
-                let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-                    chunk_pairs: Some(chunk_pairs),
-                    force_exec: Some(ExecStrategy::Parallel { threads }),
-                    ..EngineConfig::default()
-                });
-                prop_assert_eq!(
-                    &engine.answer_from_views(&q).unwrap(),
-                    &baseline,
-                    "threads={} chunk_pairs={}", threads, chunk_pairs
-                );
-            }
+            let (r, s) = run(ExecStrategy::Parallel { threads });
+            prop_assert_eq!(&r, &baseline, "threads={}", threads);
+            prop_assert_eq!(s, stats, "threads={}", threads);
         }
     }
 
@@ -423,11 +415,11 @@ proptest! {
     /// Sparse node ids: the kernel's dense remap is sized by the largest id,
     /// not by the few nodes the join touches. On a graph of 200k mostly
     /// isolated nodes with labelled nodes at scattered ids, the ranked
-    /// answer equals `NaiveFixpoint` and `match_pattern`, and the chunked
+    /// answer equals `NaiveFixpoint` and `match_pattern`, and the parallel
     /// kernel reproduces the sequential answer *and* `JoinStats` for every
-    /// threads × chunk size.
+    /// thread count.
     #[test]
-    fn chunked_kernel_on_sparse_ids_matches_oracles(
+    fn parallel_kernel_on_sparse_ids_matches_oracles(
         k in 6usize..32,
         m in 40usize..240,
         gseed in any::<u64>(),
@@ -438,26 +430,23 @@ proptest! {
         let views = covering_views(std::slice::from_ref(&q), 3, vseed);
         let direct = match_pattern(&q, &g);
         let mut engine = QueryEngine::materialize(views, &g);
-        let mut run = |exec: ExecStrategy, chunk_pairs: Option<usize>| {
+        let mut run = |exec: ExecStrategy| {
             engine.set_config(EngineConfig {
                 force_exec: Some(exec),
-                chunk_pairs,
                 ..EngineConfig::default()
             });
             let plan = engine.plan(&q);
             assert!(!plan.needs_graph(), "covering views contain q: {plan}");
             engine.execute(&q, &plan, None).unwrap()
         };
-        let (ranked, stats) = run(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp), None);
+        let (ranked, stats) = run(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp));
         prop_assert_eq!(&ranked, &direct);
-        let (naive, _) = run(ExecStrategy::Sequential(JoinStrategy::NaiveFixpoint), None);
+        let (naive, _) = run(ExecStrategy::Sequential(JoinStrategy::NaiveFixpoint));
         prop_assert_eq!(&naive, &direct);
-        for threads in sweep_threads(&[1, 2, 4]) {
-            for chunk_pairs in [0usize, 1, 3, 1 << 20] {
-                let (r, s) = run(ExecStrategy::Parallel { threads }, Some(chunk_pairs));
-                prop_assert_eq!(&r, &ranked, "threads={} chunk_pairs={}", threads, chunk_pairs);
-                prop_assert_eq!(s, stats, "threads={} chunk_pairs={}", threads, chunk_pairs);
-            }
+        for threads in sweep_threads(&[1, 2, 4, 8]) {
+            let (r, s) = run(ExecStrategy::Parallel { threads });
+            prop_assert_eq!(&r, &ranked, "threads={}", threads);
+            prop_assert_eq!(s, stats, "threads={}", threads);
         }
     }
 
