@@ -965,96 +965,7 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
         for q in &queries {
             std::hint::black_box(direct_engine.answer(q, &g).unwrap());
         }
-        // The columnar-arena series: read every cached pair the way the
-        // join hot path does, through the flat arena vs the boxed
-        // `Vec<Vec<(v, v')>>` representation the executors used to run on
-        // (thawed back for the comparison), plus the resident bytes of
-        // each. The arena read is a bare slice scan — freeze canonicalized
-        // (sorted + deduped) every set once, so executors borrow it
-        // verbatim. The boxed form carried no such guarantee, so its hot
-        // path paid `canonical_pairs` on every read: a defensive copy plus
-        // a sortedness check per edge set, per query. That per-read copy
-        // is the throughput gap; the per-set `Vec` header and separate
-        // allocation are the resident-bytes gap.
-        let (t_flat_scan, t_boxed_scan, compact_resident, boxed_resident) = {
-            let ext = engine.extensions();
-            let boxed: Vec<_> = ext.extensions.iter().map(|v| v.thaw()).collect();
-            fn flat_sweep(views: &[std::sync::Arc<gpv_core::CompactView>]) -> u64 {
-                let mut acc = 0u64;
-                for v in views {
-                    for &(a, b) in v.all_pairs() {
-                        acc = acc.wrapping_add(a.0 as u64 ^ b.0 as u64);
-                    }
-                }
-                acc
-            }
-            fn boxed_sweep(results: &[gpv_matching::result::MatchResult]) -> u64 {
-                let mut acc = 0u64;
-                for r in results {
-                    for set in &r.edge_matches {
-                        // What `merged_from_sources` paid per read before
-                        // the arena: copy, verify sorted, consume.
-                        let mut v = set.clone();
-                        if !v.windows(2).all(|w| w[0] < w[1]) {
-                            v.sort_unstable();
-                            v.dedup();
-                        }
-                        for &(a, b) in &v {
-                            acc = acc.wrapping_add(a.0 as u64 ^ b.0 as u64);
-                        }
-                    }
-                }
-                acc
-            }
-            // Per-sweep wall time, minimum over interleaved timed batches
-            // of `scan_reps` sweeps each: interleaving flat/boxed batches
-            // keeps scheduler jitter and frequency drift on a shared
-            // 1-core container from biasing whichever side is measured
-            // second, and the min filters the remaining spikes. The data
-            // reference is laundered through `black_box` every sweep so
-            // the optimizer cannot hoist a pure loop-invariant sweep out
-            // of the rep loop (it provably did for the arena side, whose
-            // sweep allocates nothing). One untimed warm-up of each
-            // first, so neither side pays the cold cache — the boxed
-            // copies were just written by `thaw` and would otherwise
-            // start warm while the arena starts cold.
-            let scan_reps = 200;
-            std::hint::black_box(flat_sweep(&ext.extensions) ^ boxed_sweep(&boxed));
-            let (mut t_flat_scan, mut t_boxed_scan) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..9 {
-                t_flat_scan = t_flat_scan.min(secs(|| {
-                    let mut acc = 0u64;
-                    for _ in 0..scan_reps {
-                        acc = acc.wrapping_add(flat_sweep(std::hint::black_box(&ext.extensions)));
-                    }
-                    std::hint::black_box(acc);
-                }));
-                t_boxed_scan = t_boxed_scan.min(secs(|| {
-                    let mut acc = 0u64;
-                    for _ in 0..scan_reps {
-                        acc = acc.wrapping_add(boxed_sweep(std::hint::black_box(&boxed)));
-                    }
-                    std::hint::black_box(acc);
-                }));
-            }
-            let vec_hdr = std::mem::size_of::<Vec<(u32, u32)>>();
-            let boxed_resident: usize = boxed
-                .iter()
-                .map(|r| {
-                    2 * vec_hdr
-                        + r.node_matches.len() * vec_hdr
-                        + r.node_matches.iter().map(|v| v.len() * 4).sum::<usize>()
-                        + r.edge_matches.len() * vec_hdr
-                        + r.edge_matches.iter().map(|v| v.len() * 8).sum::<usize>()
-                })
-                .sum::<usize>();
-            (
-                t_flat_scan / scan_reps as f64,
-                t_boxed_scan / scan_reps as f64,
-                ext.resident_bytes(),
-                boxed_resident,
-            )
-        };
+        let compact_resident = engine.extensions().resident_bytes();
         let est_err_default = engine.estimate_error().expect("executions recorded");
         let est_err_calibrated = if engine.apply_calibration() {
             engine.estimate_error().expect("executions recorded")
@@ -1081,10 +992,7 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
                 ("MatchJoin_par4".into(), t_par4 / c),
                 ("est_err_default".into(), est_err_default),
                 ("est_err_calibrated".into(), est_err_calibrated),
-                ("compact_scan".into(), t_flat_scan),
-                ("boxed_scan".into(), t_boxed_scan),
                 ("compact_resident_mb".into(), compact_resident as f64 / 1e6),
-                ("boxed_resident_mb".into(), boxed_resident as f64 / 1e6),
             ],
         });
     }

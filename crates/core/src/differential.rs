@@ -15,8 +15,9 @@
 //! * Theorem 1's corollary — adding views never changes answers, only how
 //!   cheaply they can be produced. So one oracle answer per distinct query
 //!   stays valid across every `ViewStore::insert` between rounds.
-//! * Recalibration only rescales cost weights; plans may change shape, but
-//!   by the contract every plan shape must produce the same match sets.
+//! * Cost weights (default or calibrated) only reprice plans; plans may
+//!   change shape, but by the contract every plan shape must produce the
+//!   same match sets.
 //! * Edge deltas ([`DifferentialCase::deltas`]) *do* change answers — so
 //!   the checker tracks the evolving graph itself and drops every cached
 //!   oracle answer when a delta lands, recomputing ground truth lazily
@@ -54,8 +55,7 @@ pub type BoundedOracle = Box<dyn Fn(&BoundedPattern, &DataGraph) -> BoundedMatch
 ///
 /// Rounds are indices into `queries` (repetition exercises the plan and
 /// result caches); `updates[r]` is inserted into the store after round `r`
-/// (exercising engine rebuilds and, with
-/// [`ServiceConfig::recalibrate_every`], recalibration epochs).
+/// (exercising engine rebuilds and cache invalidation).
 pub struct DifferentialCase<'a> {
     /// The data graph `G` every answer is checked against.
     pub graph: &'a DataGraph,
@@ -80,8 +80,8 @@ pub struct DifferentialCase<'a> {
     /// Engine configuration under test (executor, selection mode, cost
     /// weights, threads).
     pub engine: EngineConfig,
-    /// Service configuration under test (plan/result caches, recalibration
-    /// cadence); its embedded engine config is what `serve_batch` uses.
+    /// Service configuration under test (plan/result caches); its embedded
+    /// engine config is what `serve_batch` uses.
     pub service: ServiceConfig,
 }
 
@@ -269,9 +269,8 @@ fn verify_store_state(
 /// Phase 2 (service): materializes a [`ViewStore`], serves every round's
 /// batch through [`ViewService::serve_batch`] under the case's
 /// [`ServiceConfig`], inserts the round's updates, and repeats — so cache
-/// hits, engine rebuilds after mutations, and recalibration epochs are all
-/// checked against the *same* oracle answers (valid throughout, per the
-/// module docs).
+/// hits and engine rebuilds after mutations are all checked against the
+/// *same* oracle answers (valid throughout, per the module docs).
 ///
 /// Returns the exercise counters, or the first [`Divergence`] found.
 pub fn check_plain(
@@ -345,8 +344,8 @@ pub fn check_plain(
         }
     }
 
-    // Phase 2: the serving layer, across store mutations, edge deltas and
-    // recalibration. The graph evolves under the deltas, so ground truth is
+    // Phase 2: the serving layer, across store mutations and edge deltas.
+    // The graph evolves under the deltas, so ground truth is
     // tracked per-round: `truth[qi]` caches the oracle's answer against the
     // *current* graph and is dropped wholesale whenever a delta lands
     // (answers are then recomputed lazily, only for queries actually

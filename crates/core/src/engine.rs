@@ -212,8 +212,8 @@ impl QueryEngine {
     }
 
     /// Shares an external [`CostLog`] handle — the serving layer passes the
-    /// same handle into every rebuilt engine so calibration sees the whole
-    /// measurement history, not just the current snapshot's.
+    /// same handle into every rebuilt engine so its drift gauge sees the
+    /// whole measurement history, not just the current snapshot's.
     pub fn with_cost_log(mut self, log: SharedCostLog) -> Self {
         self.cost_log = log;
         self

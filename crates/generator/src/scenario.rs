@@ -7,7 +7,7 @@
 //! repeats them (zipfian), what fraction of the covering view set is
 //! registered, how the store mutates between rounds, and the full engine/
 //! service configuration (selection mode, executor, threads, cost
-//! weights, cache budgets, recalibration cadence). Two
+//! weights, cache budgets). Two
 //! invariants make it a fuzzing substrate:
 //!
 //! * **One-seed determinism** — [`Scenario::sample`] is a pure function of
@@ -183,7 +183,11 @@ pub struct Scenario {
     pub chunk_pairs: usize,
     /// Cost-weight class under test.
     pub weights: WeightsKnob,
-    /// Service recalibration cadence (0 = never).
+    /// Retired and ignored: the service no longer re-fits its cost weights
+    /// while serving, so there is no cadence to set. The field stays so
+    /// existing `Scenario { .. }` literals and recorded repro lines keep
+    /// compiling and parsing; [`Scenario::sample`] writes `0` and
+    /// [`Scenario::service_config`] never reads it.
     pub recalibrate_every: usize,
     /// Result-cache budget in bytes (0 disables).
     pub result_cache_bytes: usize,
@@ -258,7 +262,6 @@ impl Scenario {
         };
         let result_cache_bytes = CACHE_STATES[(index % 4) as usize];
         let threads = [2, 4, 8][((index / 3) % 3) as usize];
-        let recalibrate_every = usize::from(index % 7 < 3);
 
         let labels = rng.gen_range(2..=6);
         // Bounded mode needs label-alphabet graphs (the bounded generator
@@ -329,7 +332,7 @@ impl Scenario {
             threads,
             chunk_pairs: 0,
             weights,
-            recalibrate_every,
+            recalibrate_every: 0,
             result_cache_bytes,
             plan_cache_capacity: [2, 8, 4096][rng.gen_range(0..3usize)],
             shards: rng.gen_range(1..=4),
@@ -558,14 +561,13 @@ impl Scenario {
         }
     }
 
-    /// The service configuration (cache budgets, recalibration cadence)
-    /// wrapping [`engine_config`](Scenario::engine_config).
+    /// The service configuration (cache budgets) wrapping
+    /// [`engine_config`](Scenario::engine_config).
     pub fn service_config(&self) -> ServiceConfig {
         ServiceConfig {
             engine: self.engine_config(),
             plan_cache_capacity: self.plan_cache_capacity,
             result_cache_bytes: self.result_cache_bytes,
-            recalibrate_every: self.recalibrate_every as u64,
         }
     }
 
@@ -657,15 +659,18 @@ mod tests {
         assert_ne!(Scenario::sample(99, 0), Scenario::sample(99, 1));
     }
 
-    /// `chunk_pairs` is retired: two scenarios that differ only in it
-    /// configure the engine and the service identically.
+    /// `chunk_pairs` and `recalibrate_every` are retired: two scenarios
+    /// that differ only in them configure the engine and the service
+    /// identically.
     #[test]
-    fn chunk_pairs_is_inert() {
+    fn retired_knobs_are_inert() {
         for i in 0..6 {
             let a = Scenario::sample(5, i);
             assert_eq!(a.chunk_pairs, 0, "the sampler writes the constant");
+            assert_eq!(a.recalibrate_every, 0, "the sampler writes the constant");
             let b = Scenario {
                 chunk_pairs: 4096,
+                recalibrate_every: 1,
                 ..a.clone()
             };
             assert_eq!(

@@ -523,6 +523,71 @@ fn plan_calibrated_shows_fitted_weights() {
     assert!(s.contains("(calibrated)"), "{s}");
 }
 
+/// `gpv serve --calibrated` fits the cost weights once, before serving, and
+/// serves under them: the cost-model line says `(calibrated)`, and the
+/// answers equal a plain serve's — calibration changes weights, never
+/// answers.
+#[test]
+fn serve_calibrated_fits_once_and_keeps_answers() {
+    let g = write_tmp("scal-g.txt", GRAPH);
+    let q = write_tmp("scal-q.txt", QUERY);
+    let v1 = write_tmp("scal-v1.txt", VIEW1);
+    let v2 = write_tmp("scal-v2.txt", VIEW2);
+    let run = |calibrated: bool| {
+        let mut cmd = gpv();
+        cmd.arg("serve");
+        if calibrated {
+            cmd.arg("--calibrated");
+        }
+        let out = cmd
+            .args([
+                "--graph",
+                g.to_str().unwrap(),
+                "--view",
+                v1.to_str().unwrap(),
+                "--view",
+                v2.to_str().unwrap(),
+                "--pattern",
+                q.to_str().unwrap(),
+                "--repeat",
+                "2",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    // The per-query latency varies run to run; everything before it is
+    // the answer and its disposition.
+    let answers = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| l.starts_with("query "))
+            .map(|l| l[..l.rfind(", ").unwrap_or(l.len())].to_string())
+            .collect()
+    };
+    let cost_line = |stdout: &str| -> String {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("cost model:"))
+            .unwrap_or_else(|| panic!("no cost-model line in: {stdout}"))
+            .to_string()
+    };
+    let plain = run(false);
+    let calibrated = run(true);
+    assert!(cost_line(&plain).contains("(default)"), "{plain}");
+    assert!(
+        cost_line(&calibrated).contains("(calibrated)"),
+        "{calibrated}"
+    );
+    assert_eq!(answers(&plain).len(), 2, "{plain}");
+    assert_eq!(answers(&plain), answers(&calibrated));
+}
+
 /// `serve --store-dir` must save the sharded store on the first run, load
 /// it on the second — announcing which happened — and serve identical
 /// answers either way (the store-dir round trip may not perturb results).
